@@ -5,10 +5,11 @@
 Workloads: voronoi-random, pair-scan, grid-bisect, psgrid (see
 ``BENCHMARK.json`` and ``bench/BASELINE.md``).  Each workload runs in a fresh
 worker process with OpenBLAS pinned to one thread.  With ``--trace 0`` the
-last stdout line reports the end-to-end metrics; ``setup_s`` is the median of
-several worker start-ups (process start to ready: imports, seeded inputs, one
-warm-up solve).  With ``--trace 1`` it reports the per-module metrics of a
-traced run.  The line before it is a ``report`` with the environment, sample
+last stdout line reports the end-to-end metrics.  Times are scaled to the
+reference speed of ``bench/speed.py``, which takes the drift of a shared host
+out of them.  ``setup_s`` is the median of several worker start-ups (process
+start to ready: imports, seeded inputs, one warm-up solve).  With
+``--trace 1`` it reports the per-module metrics of a traced run.  The line before it is a ``report`` with the environment, sample
 counts, failure classes and check results.
 
 Exits non-zero without a result line when a worker fails or runs out of time,
@@ -30,9 +31,9 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 WORKLOADS = ("voronoi-random", "pair-scan", "grid-bisect", "psgrid")
 
-#: Set-up-only workers started besides the measuring one; setup_s is the
+#: Set-up-only workers started before the measuring one; setup_s is the
 #: median over all of them.
-SETUP_PROBES = 4
+SETUP_PROBES = 2
 
 #: Wall-clock budget of one invocation, workers included.
 TIME_LIMIT_S = 170.0
@@ -45,7 +46,8 @@ class WorkerError(RuntimeError):
 
 
 def run_worker(args, deadline: float, setup_only: bool) -> tuple[float, str]:
-    """Start a worker, wait for it, return (start-to-ready seconds, last line)."""
+    """Start a worker, wait for it, return (start-to-ready seconds scaled to
+    the reference speed, last line)."""
     cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
@@ -65,9 +67,10 @@ def run_worker(args, deadline: float, setup_only: bool) -> tuple[float, str]:
         raise WorkerError(f"worker exited with code {proc.returncode}")
     lines = out.splitlines()
     ready = [ln for ln in lines if ln.startswith("ready ")]
-    if not ready:
+    scale = [ln for ln in lines if ln.startswith("scale ")]
+    if not ready or not scale:
         raise WorkerError("worker never became ready")
-    return float(ready[0].split()[1]) - started, lines[-1]
+    return (float(ready[0].split()[1]) - started) * float(scale[0].split()[1]), lines[-1]
 
 
 def main(argv=None) -> int:
@@ -82,13 +85,10 @@ def main(argv=None) -> int:
 
     deadline = time.monotonic() + TIME_LIMIT_S
     try:
-        # Half the set-up probes run before the measuring worker and half
-        # after it, so that setup_s samples two moments of the machine.
         probes = 0 if args.trace else SETUP_PROBES
-        setup = [run_worker(args, deadline, True)[0] for _ in range(probes // 2)]
+        setup = [run_worker(args, deadline, True)[0] for _ in range(probes)]
         ready_s, line = run_worker(args, deadline, False)
         setup.append(ready_s)
-        setup += [run_worker(args, deadline, True)[0] for _ in range(probes - probes // 2)]
         result = json.loads(line)
     except (WorkerError, ValueError) as err:
         print(f"benchmark failed: {err}", file=sys.stderr)

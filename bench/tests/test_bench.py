@@ -21,7 +21,9 @@ sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 import saddlepass as sp  # noqa: E402
 import checks  # noqa: E402
 import run  # noqa: E402
+import speed  # noqa: E402
 import tracer  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -168,6 +170,22 @@ def test_reconcile_flags_an_eigensolve_the_tracer_cannot_attribute():
         np.linalg.eigvals(np.eye(3))  # as if a by-value import had escaped patching
         counts, _ = tr.end_pass()
     assert tracer.reconcile(counts) == ["eigvals calls 2 != byers + eigenvalues() 1"]
+
+
+def test_workload_seconds_counts_every_input_at_its_median_solve():
+    # A slow input moves the figure by all its time: nothing averages it away.
+    times = [[0.3, 0.2, 0.1], [0.25, 0.5, 0.4], [2.0, 5.0, 4.0]]
+    assert worker.workload_seconds(times) == pytest.approx(4.6)
+
+
+def test_solves_are_scaled_by_the_kernel_runs_on_either_side():
+    ref = speed.REFERENCE_S
+    timeline = worker.Timeline()
+    timeline.solves = [(0, 1.0), (1, 3.0)]
+    # The host ran at half speed around the first solve, then at full speed.
+    timeline.kernels = [2 * ref, 2 * ref, ref]
+    assert timeline.per_input(2) == [[pytest.approx(0.5)], [pytest.approx(3.0 / 1.5)]]
+    assert timeline.per_input(2, scaled=False) == [[1.0], [3.0]]
 
 
 def test_benchmark_json_matches_the_harness():

@@ -1,14 +1,15 @@
 """One workload in one fresh process: set up, measure, check, report.
 
 Started by ``run.py``; prints ``ready <monotonic time>`` once set-up is done
-(imports, seeded inputs, one untimed warm-up solve), then, unless
+(imports, seeded inputs, one untimed warm-up solve), then ``scale <factor>``,
+the factor to the reference speed just after (see ``speed``), then, unless
 ``--setup-only``, one JSON line with the measured values.
 
 The loop is closed with a single caller: each solve starts after the previous
-one returned, and passes over the input set repeat until ``--seconds`` is
-spent.  With ``--trace 1`` the first half of the time runs untraced and the
-second half traced, which gives both the per-module numbers and the tracing
-overhead.
+one returned, and passes over the input set repeat while one more pass fits
+in ``--seconds``; there is always at least one.  With ``--trace 1`` the first
+half of the time runs untraced and the second half traced, which gives both
+the per-module numbers and the tracing overhead.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import speed
 import tracer
 from checks import Verdict, raised
 
@@ -110,67 +112,94 @@ class Outcomes:
             self.wrong[f"{case.name}:{name}"] += 1
 
 
-def run_pass(cases, times, outcomes) -> None:
+class Timeline:
+    """Solve times in call order, with a run of the reference kernel before
+    each solve and one after the last (see ``speed``)."""
+
+    def __init__(self):
+        self.solves: list[tuple[int, float]] = []  # (input, seconds)
+        self.kernels: list[float] = []
+
+    def close(self) -> None:
+        """Run the kernel once more, after the last solve."""
+        self.kernels.append(speed.kernel_seconds())
+
+    def per_input(self, n: int, scaled: bool = True) -> list[list[float]]:
+        """Each input's solve times, scaled to the reference speed by the
+        kernel runs on either side of the solve, unless ``scaled`` is false."""
+        times = [[] for _ in range(n)]
+        for j, (i, t) in enumerate(self.solves):
+            times[i].append(t * speed.scale(self.kernels[j:j + 2]) if scaled else t)
+        return times
+
+
+def run_pass(cases, timeline, outcomes) -> float:
+    """Solve every input once, each after one run of the reference kernel;
+    return the pass's wall time."""
     clock = time.perf_counter
+    start = clock()
     for i, case in enumerate(cases):
+        timeline.kernels.append(speed.kernel_seconds())
         t0 = clock()
         try:
             out = case.solve()
         except Exception as err:  # a raising solve is a failure to record, not a crash
             out = err
-        times[i].append(clock() - t0)
+        timeline.solves.append((i, clock() - t0))
         outcomes.record(i, out)
+    return clock() - start
 
 
-def workload_seconds(cases, times) -> float:
-    """Time to solve the input set once, from each input's fastest solve.
-
-    Neighbours on a shared machine only ever add time, in bursts that last
-    tens of seconds, so the best of the repeats estimates a solve's own cost
-    far more steadily than their median does.  Random draws of one size form
-    a group that counts as its size times its median input: a rare slow draw
-    (an unconverged solve that iterates long) would otherwise move the sum
-    from seed to seed by more than any useful bound.
-    """
-    groups: dict[str, list[float]] = {}
-    for case, t in zip(cases, times):
-        groups.setdefault(case.group or case.name, []).append(min(t))
-    return sum(len(g) * statistics.median(g) for g in groups.values())
+def workload_seconds(times) -> float:
+    """Time to solve the input set once: the sum over inputs of each input's
+    median solve time in the run."""
+    return sum(statistics.median(t) for t in times)
 
 
 def measure(wl, seconds: float, trace: bool) -> dict:
     outcomes = Outcomes(wl.cases)
-    times = [[] for _ in wl.cases]
+    n = len(wl.cases)
+    timeline = Timeline()
     start = time.perf_counter()
     untraced_end = start + (seconds / 2 if trace else seconds)
-    passes = 0
-    while passes == 0 or time.perf_counter() < untraced_end:
-        run_pass(wl.cases, times, outcomes)
+    # After the first pass, a pass starts only if one as long as the last still fits.
+    passes, pass_s = 0, 0.0
+    while passes == 0 or time.perf_counter() + pass_s <= untraced_end:
+        pass_s = run_pass(wl.cases, timeline, outcomes)
         passes += 1
+    timeline.close()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    times, raw = timeline.per_input(n), timeline.per_input(n, scaled=False)
+    kernel = timeline.kernels  # seconds
     report = {
         "passes": passes,
-        "best_ms_per_input": {c.name: round(1e3 * min(t), 3) for c, t in zip(wl.cases, times)},
+        "median_ms_per_input": {
+            c.name: round(1e3 * statistics.median(t), 3) for c, t in zip(wl.cases, times)},
+        "unscaled_workload_s": workload_seconds(raw),
+        "kernel_ms": {"median": 1e3 * statistics.median(kernel),
+                      "min": 1e3 * min(kernel), "max": 1e3 * max(kernel)},
     }
 
     if not trace:
         metrics = {
-            "workload_s": (workload_seconds(wl.cases, times), "s"),
-            # Median over the inputs of each input's fastest call: every input
-            # weighs the same, and bursts of neighbour load drop out.
-            "solve_ms_p50": (1e3 * statistics.median(min(t) for t in times), "ms"),
+            "workload_s": (workload_seconds(times), "s"),
+            # The median input's median call.  A median over all calls would
+            # fall between the inputs when their costs differ widely, as on
+            # pair-scan, and follow the slowest call of the cheap input.
+            "solve_ms_p50": (1e3 * statistics.median(statistics.median(t) for t in times), "ms"),
             "peak_rss_mb": (rss_mb, "MB"),
         }
-        report["solve_samples"] = sum(len(t) for t in times)
+        report["solve_inputs"] = n
+        report["solve_samples"] = len(timeline.solves)
         problems = []
     else:
-        traced_times = [[] for _ in wl.cases]
+        traced = Timeline()
         first_counts, self_ms, problems = None, Counter(), []
         traced_passes = 0
         with tracer.Tracer() as tr:
-            while traced_passes == 0 or time.perf_counter() < start + seconds:
+            while traced_passes == 0 or time.perf_counter() + pass_s <= start + seconds:
                 tr.begin_pass(wl.fields)
-                run_pass(wl.cases, traced_times, outcomes)
+                pass_s = run_pass(wl.cases, traced, outcomes)
                 counts, pass_ms = tr.end_pass()
                 problems += tracer.reconcile(counts)
                 if first_counts is None:
@@ -179,14 +208,15 @@ def measure(wl, seconds: float, trace: bool) -> dict:
                     problems.append(f"counts of traced pass {traced_passes + 1} differ")
                 self_ms.update(pass_ms)
                 traced_passes += 1
-        overhead = (workload_seconds(wl.cases, traced_times)
-                    / workload_seconds(wl.cases, times) - 1.0)
+        traced.close()
+        traced_times = traced.per_input(n)
+        overhead = workload_seconds(traced_times) / workload_seconds(times) - 1.0
         per_pass_ms = {k: v / traced_passes for k, v in self_ms.items()}
         values = tracer.layer_metrics(first_counts, per_pass_ms, overhead)
         units = {name: unit for name, unit, _ in tracer.LAYER_METRICS}
         metrics = {name: (value, units[name]) for name, value in values.items()}
         report["traced_passes"] = traced_passes
-        report["traced_pass_ms"] = 1e3 * sum(map(sum, traced_times)) / traced_passes
+        report["traced_pass_ms"] = 1e3 * sum(t for _, t in traced.solves) / traced_passes
         report["counts"] = {k: v for k, v in sorted(first_counts.items())}
 
     report.update({
@@ -229,6 +259,7 @@ def main(argv=None) -> int:
         wl = workloads.build(args.workload, args.seed, workdir)
         wl.warmup()
         print(f"ready {time.monotonic()!r}", flush=True)
+        print(f"scale {speed.REFERENCE_S / speed.probe()!r}", flush=True)
         if args.setup_only:
             return 0
         result = measure(wl, args.seconds, bool(args.trace))

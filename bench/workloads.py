@@ -52,9 +52,6 @@ class Case:
     solve: Callable[[], object]
     check: Callable[[object], Verdict]
     fingerprint: Callable[[object], object]
-    #: Inputs drawn at random for the same size share a group; see
-    #: ``worker.workload_seconds``.  Empty means the input is its own group.
-    group: str = ""
 
 
 @dataclass
@@ -75,7 +72,7 @@ def _bisection_fingerprint(s) -> tuple:
 
 
 RANDOM_SIZES = (12, 20, 28)
-RANDOM_PER_SIZE = 6
+RANDOM_PER_SIZE = 16
 WARMUP_SEED = 12345
 
 
@@ -90,7 +87,6 @@ def voronoi_random(seed: int, workdir: Path) -> Workload:
                 lambda a=a: sp.wilkinson_distance(a),
                 lambda r, a=a: check_wilkinson(a, r),
                 _wilkinson_fingerprint,
-                group=f"n{n}",
             ))
     # A fixed warm-up matrix keeps set-up time independent of the seed.
     warm = random_matrix(np.random.default_rng(WARMUP_SEED), RANDOM_SIZES[0])
