@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, ResolutionLimitError, UnsupportedDimensionError
 from .fields import Ball, Region, ScalarField, TestProblem
-from .local_solver import refine_closest_pair, segment_max
+from .local_solver import polyline_max, refine_closest_pair, segment_max
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -53,10 +53,9 @@ class ClosestPair:
 
 
 class _Grid:
-    """Labeled sublevel mask over the region's bounding box."""
+    """Labeled sublevel mask over the box [lo, hi] at cell size h."""
 
-    def __init__(self, q: ComponentQuery, h: float):
-        lo, hi = q.region.bounding_box()
+    def __init__(self, q: ComponentQuery, h: float, lo, hi):
         self.origin = lo
         self.h = h
         self.nx = max(2, int(math.ceil((hi[0] - lo[0]) / h)))
@@ -70,9 +69,8 @@ class _Grid:
             rr = (gx - q.region.center[0]) ** 2 + (gy - q.region.center[1]) ** 2
             inside = rr <= q.region.radius**2
         else:
-            inside = np.ones_like(vals, dtype=bool)
             low, up = q.region.bounding_box()
-            inside &= (gx >= low[0]) & (gx <= up[0]) & (gy >= low[1]) & (gy <= up[1])
+            inside = (gx >= low[0]) & (gx <= up[0]) & (gy >= low[1]) & (gy <= up[1])
         self.mask = (vals <= q.level) & inside
         self.labels, self.nlabels = ndimage.label(self.mask, structure=_CROSS)
         self.xs = xs
@@ -128,13 +126,15 @@ def _validate_query_point(q: ComponentQuery, p, name: str) -> np.ndarray:
     return p
 
 
-def _closest_cell_pair(grid: _Grid, la: int, lb: int):
-    pa = grid.component_cells(la)
-    pb = grid.component_cells(lb)
-    tree = cKDTree(pb)
-    d, idx = tree.query(pa)
+def _closest_points(pa: np.ndarray, pb: np.ndarray):
+    """The closest pair between two point sets, with its distance."""
+    d, idx = cKDTree(pb).query(pa)
     j = int(np.argmin(d))
     return pa[j], pb[idx[j]], float(d[j])
+
+
+def _closest_cell_pair(grid: _Grid, la: int, lb: int):
+    return _closest_points(grid.component_cells(la), grid.component_cells(lb))
 
 
 def _refine_window(q: ComponentQuery, grid: _Grid, la: int, lb: int, pa, pb):
@@ -145,55 +145,36 @@ def _refine_window(q: ComponentQuery, grid: _Grid, la: int, lb: int, pa, pb):
     at the finer resolution.  Returns (merged, pair) where pair is a refined
     closest cell pair (or None when a side is not visible in the window).
     """
-    h2 = q.resolution / 4.0
     center = 0.5 * (np.asarray(pa) + np.asarray(pb))
     half = 8.0 * q.resolution
     blo, bhi = q.region.bounding_box()
-    wlo = np.maximum(center - half, blo)
-    whi = np.minimum(center + half, bhi)
-    nx = max(2, int(math.ceil((whi[0] - wlo[0]) / h2)))
-    ny = max(2, int(math.ceil((whi[1] - wlo[1]) / h2)))
-    xs = wlo[0] + (np.arange(nx) + 0.5) * h2
-    ys = wlo[1] + (np.arange(ny) + 0.5) * h2
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    vals = q.field.value_many(pts).reshape(ny, nx)
-    if isinstance(q.region, Ball):
-        rr = (gx - q.region.center[0]) ** 2 + (gy - q.region.center[1]) ** 2
-        inside = rr <= q.region.radius**2
-    else:
-        low, up = q.region.bounding_box()
-        inside = (gx >= low[0]) & (gx <= up[0]) & (gy >= low[1]) & (gy <= up[1])
-    mask = (vals <= q.level) & inside
-    labels, nlab = ndimage.label(mask, structure=_CROSS)
+    fine = _Grid(q, q.resolution / 4.0, np.maximum(center - half, blo),
+                 np.minimum(center + half, bhi))
+    gx, gy = np.meshgrid(fine.xs, fine.ys)
 
     # Coarse label carried by each refined cell.
     cix = np.clip(((gx - grid.origin[0]) / grid.h).astype(int), 0, grid.nx - 1)
     ciy = np.clip(((gy - grid.origin[1]) / grid.h).astype(int), 0, grid.ny - 1)
     tags = grid.labels[ciy, cix]
 
-    for lab in range(1, nlab + 1):
-        comp = labels == lab
-        t = tags[comp]
+    for lab in range(1, fine.nlabels + 1):
+        t = tags[fine.labels == lab]
         if np.any(t == la) and np.any(t == lb):
             return True, None
 
-    side_a = mask & (tags == la)
-    side_b = mask & (tags == lb)
+    side_a = fine.mask & (tags == la)
+    side_b = fine.mask & (tags == lb)
     if not side_a.any() or not side_b.any():
         return False, None
     ia = np.column_stack([gx[side_a], gy[side_a]])
     ib = np.column_stack([gx[side_b], gy[side_b]])
-    tree = cKDTree(ib)
-    d, idx = tree.query(ia)
-    j = int(np.argmin(d))
-    return False, (ia[j], ib[idx[j]])
+    return False, _closest_points(ia, ib)[:2]
 
 
 def _analyze(q: ComponentQuery, a, b):
     """Labels plus seeds, with one adaptive windowed refinement at h/4 when
     the two components come within 4 cells of each other."""
-    grid = _Grid(q, q.resolution)
+    grid = _Grid(q, q.resolution, *q.region.bounding_box())
     la = grid.seed_label(a)
     lb = grid.seed_label(b)
     if la == lb:
@@ -380,11 +361,4 @@ def assemble_path(problem: TestProblem, state: BisectionState) -> tuple[np.ndarr
     xs = [p[0] for p in state.pairs]
     ys = [p[1] for p in state.pairs][::-1]
     vertices = np.vstack(xs + ys)
-    field = problem.field
-    best = field.value(vertices[0])
-    for u, v in zip(vertices[:-1], vertices[1:]):
-        if np.array_equal(u, v):
-            continue
-        m, _ = segment_max(field, u, v)
-        best = max(best, m)
-    return vertices, float(best)
+    return vertices, polyline_max(problem.field, vertices)

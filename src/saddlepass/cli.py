@@ -264,16 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bis.set_defaults(func=cmd_solve_bisect, default_tol_gap=1e-6, default_max_iter=80)
 
     p_wil = sub.add_parser("wilkinson", help="Wilkinson distance pipeline")
+    add_common(p_wil, need_input=False)
     p_wil.add_argument("--matrix", required=True)
-    p_wil.add_argument("--tol-point", type=float, default=1e-10)
-    p_wil.add_argument("--tol-gap", type=float, default=None)
-    p_wil.add_argument("--max-iter", type=int, default=None)
-    p_wil.add_argument("--step1a", action="store_true")
     p_wil.add_argument("--exhaustive", action="store_true")
-    p_wil.add_argument("--format", choices=("csv", "json"), default="json")
-    p_wil.add_argument("--out", default=None)
     p_wil.add_argument("--perturbation-out", default=None)
-    p_wil.set_defaults(func=cmd_wilkinson, default_tol_gap=1e-12, default_max_iter=50)
+    p_wil.set_defaults(format="json", func=cmd_wilkinson, default_tol_gap=1e-12,
+                       default_max_iter=50)
 
     p_grid = sub.add_parser("psgrid", help="pseudospectrum grid as CSV")
     p_grid.add_argument("--matrix", required=True)
@@ -300,10 +296,11 @@ def main(argv=None) -> int:
         args.max_iter = args.default_max_iter
     try:
         return args.func(args)
-    except (PreconditionError, UnsupportedDimensionError) as err:
+    except UnsupportedDimensionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (BoundaryHitError, ResolutionLimitError, np.linalg.LinAlgError) as err:
+    except (PreconditionError, BoundaryHitError, ResolutionLimitError,
+            np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

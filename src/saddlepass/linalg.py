@@ -147,7 +147,6 @@ class SigmaMinField:
 
     def __init__(self, a):
         self.matrix = as_complex_matrix(a)
-        self.norm = spectral_norm(self.matrix)
         self._eye = np.eye(self.matrix.shape[0])
 
     def sigma_at(self, z: complex) -> float:

@@ -21,6 +21,7 @@ from typing import Optional, Protocol
 import numpy as np
 from scipy.optimize import brentq, minimize as sp_minimize, minimize_scalar
 
+from .diagnostics import fd_gradient, gradient_of
 from .errors import BoundaryHitError, PreconditionError
 from .fields import Region, ScalarField
 
@@ -194,24 +195,6 @@ def _hyperplane_basis(unit_normal: np.ndarray) -> np.ndarray:
     return h[:, : n - 1]
 
 
-def _fd_gradient(field: ScalarField, x: np.ndarray) -> np.ndarray:
-    g = np.empty(x.size)
-    for k in range(x.size):
-        h = 1e-6 * (1.0 + abs(x[k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        g[k] = (field.value(xp) - field.value(xm)) / (2.0 * h)
-    return g
-
-
-def _grad(field: ScalarField, x: np.ndarray) -> np.ndarray:
-    if field.has_gradient:
-        return field.grad(x)
-    return _fd_gradient(field, x)
-
-
 def _local_line_minimize(field, origin, direction, tlo, thi, scale):
     """Local 1-D minimizer of the field along a line, near parameter 0.
 
@@ -243,7 +226,6 @@ def minimize_on_hyperplane(
     region: Region,
     through: np.ndarray,
     normal: np.ndarray,
-    tol: float = 1e-12,
     oracle: Optional[SegmentOracle] = None,
     locality: str = "global",
 ) -> tuple[np.ndarray, float]:
@@ -254,7 +236,7 @@ def minimize_on_hyperplane(
     for the closest-pair alternation).  In higher dimensions a quasi-Newton
     descent runs in an orthonormal parameterization of the hyperplane, with
     finite-difference gradients when the field has none.  Both paths finish
-    with a Newton polish, so the result meets any ``tol`` down to roundoff.
+    with a Newton polish that sharpens the minimizer toward roundoff.
     A minimizer escaping to the region boundary raises
     :class:`BoundaryHitError` with the point.
     """
@@ -312,7 +294,7 @@ def minimize_on_hyperplane(
     def rgrad(w):
         if gj is not None:
             return gj(w)
-        return basis.T @ _fd_gradient(field, through + basis @ w)
+        return basis.T @ fd_gradient(field, through + basis @ w)
 
     for _ in range(3):
         gr = rgrad(w)
@@ -386,7 +368,6 @@ def bisector_minimize(
     region: Region,
     x,
     y,
-    tol: float = 1e-12,
     oracle: Optional[SegmentOracle] = None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the field on the perpendicular bisector hyperplane of x and y.
@@ -400,7 +381,7 @@ def bisector_minimize(
         raise ValueError("bisector is undefined for identical points")
     mid = 0.5 * (x + y)
     return minimize_on_hyperplane(
-        field, region, mid, x - y, tol=tol, oracle=oracle, locality="global"
+        field, region, mid, x - y, oracle=oracle, locality="global"
     )
 
 
@@ -514,8 +495,8 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
     dd = float(d @ d)
     if dd == 0.0:
         return None
-    gx = _grad(field, x)
-    gy = _grad(field, y)
+    gx = gradient_of(field, x)
+    gy = gradient_of(field, y)
     k1 = max(0.0, float(gx @ d) / dd)
     k2 = max(0.0, float(gy @ (-d)) / dd)
 
@@ -523,8 +504,8 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
         d = y - x
         return np.concatenate(
             [
-                _grad(field, x) - k1 * d,
-                _grad(field, y) + k2 * d,
+                gradient_of(field, x) - k1 * d,
+                gradient_of(field, y) + k2 * d,
                 [field.value(x) - level, field.value(y) - level],
             ]
         )
@@ -537,7 +518,7 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
             pm = p.copy()
             pp[k] += step
             pm[k] -= step
-            h[:, k] = (_grad(field, pp) - _grad(field, pm)) / (2.0 * step)
+            h[:, k] = (gradient_of(field, pp) - gradient_of(field, pm)) / (2.0 * step)
         return 0.5 * (h + h.T)
 
     r = residual(x, y, k1, k2)
@@ -548,8 +529,8 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
         d = y - x
         hx = hess_of(x)
         hy = hess_of(y)
-        gx = _grad(field, x)
-        gy = _grad(field, y)
+        gx = gradient_of(field, x)
+        gy = gradient_of(field, y)
         jac = np.zeros((2 * n + 2, 2 * n + 2))
         jac[:n, :n] = hx + k1 * np.eye(n)
         jac[:n, n : 2 * n] = -k1 * np.eye(n)
@@ -683,10 +664,9 @@ class LocalOptions:
     max_iter: int = 50
     do_step_1a: bool = False
     segment_search_samples: int = 64
-    bisector_min_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("point_tol", "gap_tol", "bisector_min_tol"):
+        for name in ("point_tol", "gap_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
@@ -752,9 +732,7 @@ def run_local(
             x, y = refine_closest_pair(
                 field, region, x, y, field.value(x), point_tol=opts.point_tol
             )
-        z, f_z = bisector_minimize(
-            field, region, x, y, tol=opts.bisector_min_tol, oracle=orc
-        )
+        z, f_z = bisector_minimize(field, region, x, y, oracle=orc)
         slack = 1e-12 * (1.0 + abs(f_z))
         if field.value(x) > f_z + slack:
             reason = "bisector_below_level"

@@ -20,7 +20,8 @@ fail, so an exhaustive mode reruns the local solver over eigenvalue pairs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ from .fields import Box
 from .linalg import (
     SegmentFrame,
     SigmaMinField,
+    _sigma_batch,
     as_complex_matrix,
     byers_vertical_crossings,
     eigenvalues,
@@ -66,6 +68,18 @@ def _sigma_on_frame(frame: SegmentFrame, y: float) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
+def _level_intervals(frame: SegmentFrame, level: float, end: float) -> list[tuple[float, float]]:
+    """Pieces of [0, end] cut at the Byers crossings of ``level`` on the frame.
+
+    On each piece sigma stays on one side of the level (or touches it), so one
+    midpoint evaluation tells sub-level pieces from super-level ones.
+    """
+    ys = byers_vertical_crossings(frame.matrix, 0.0, level)
+    ys = ys[(ys > 0.0) & (ys < end)]
+    bounds = np.concatenate(([0.0], ys, [end]))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, float]:
     """Level-sweep extremization of sigma_min over the segment [p, q].
 
@@ -75,13 +89,8 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
     super-level) intervals.  The midpoint of a chord of a parabola is its
     vertex, which gives locally quadratic convergence of the best value.
     """
-    m = as_complex_matrix(a)
-    p = complex(p)
-    q = complex(q)
-    if p == q:
-        raise ValueError("segment endpoints must be distinct")
     sign = 1.0 if mode == "min" else -1.0
-    frame = rotate_to_vertical(m, p, q)
+    frame = rotate_to_vertical(a, p, q)
     ell = frame.length
 
     cache: dict[float, float] = {}
@@ -105,12 +114,9 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
         eps = best * (1.0 + sign * _LEVEL_INFLATION)
         if eps <= 0.0:
             break
-        ys = byers_vertical_crossings(frame.matrix, 0.0, eps)
-        ys = ys[(ys > 0.0) & (ys < ell)]
-        bounds = np.concatenate(([0.0], ys, [ell]))
         improved = False
         max_active = 0.0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for lo, hi in _level_intervals(frame, eps, ell):
             if hi - lo <= 1e-15 * ell:
                 continue
             mid = 0.5 * (lo + hi)
@@ -156,67 +162,45 @@ class ByersSegmentOracle:
         v, z = segment_maximize_sigma(self.matrix, _p2c(p), _p2c(q))
         return v, _c2p(z)
 
-    def _frame(self, p, q) -> SegmentFrame:
-        return rotate_to_vertical(self.matrix, _p2c(p), _p2c(q))
-
     def advance_limit(self, p, q, cap, slack):
-        frame = self._frame(p, q)
+        frame = rotate_to_vertical(self.matrix, _p2c(p), _p2c(q))
         ell = frame.length
-
-        def g(y):
-            return _sigma_on_frame(frame, y)
-
+        g = partial(_sigma_on_frame, frame)
         eps_det = cap + slack
         if eps_det <= 0.0:
             return None if g(ell) <= eps_det else _c2p(frame.point_at(0.0))
-        ys = byers_vertical_crossings(frame.matrix, 0.0, eps_det)
-        ys = ys[(ys > 0.0) & (ys < ell)]
-        bounds = np.concatenate(([0.0], ys, [ell]))
-        violation_start = None
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo <= 1e-15 * ell:
-                continue
-            if g(0.5 * (lo + hi)) > eps_det:
-                violation_start = lo
-                break
+        violation_start = next(
+            (lo for lo, hi in _level_intervals(frame, eps_det, ell)
+             if hi - lo > 1e-15 * ell and g(0.5 * (lo + hi)) > eps_det),
+            None,
+        )
         if violation_start is None:
             return None
-        # Exact crossing of the cap itself, just before the violation.
+        # Exact crossing of the cap itself, just before the violation: the
+        # start of the first super-cap piece, else the last cap crossing.
         if cap > 0.0:
-            ys_cap = byers_vertical_crossings(frame.matrix, 0.0, cap)
-            ys_cap = ys_cap[(ys_cap > 0.0) & (ys_cap <= violation_start + 1e-12 * ell)]
-            if ys_cap.size:
-                b2 = np.concatenate(([0.0], ys_cap))
-                y_star = None
-                for lo, hi in zip(b2[:-1], b2[1:]):
-                    if g(0.5 * (lo + hi)) > cap:
-                        y_star = lo
-                        break
-                if y_star is None:
-                    y_star = float(b2[-1])
+            pieces = _level_intervals(frame, cap, violation_start + 1e-12 * ell)[:-1]
+            if pieces:
+                y_star = next(
+                    (lo for lo, hi in pieces if g(0.5 * (lo + hi)) > cap), pieces[-1][1]
+                )
                 return _c2p(frame.point_at(y_star))
         return _c2p(frame.point_at(violation_start))
 
     def first_crossing(self, p, q, target):
-        frame = self._frame(p, q)
+        frame = rotate_to_vertical(self.matrix, _p2c(p), _p2c(q))
         ell = frame.length
-
-        def g(y):
-            return _sigma_on_frame(frame, y)
-
+        g = partial(_sigma_on_frame, frame)
         if g(0.0) >= target:
             return np.asarray(p, dtype=float).copy()
         if target <= 0.0:
             return None
-        ys = byers_vertical_crossings(frame.matrix, 0.0, target)
-        ys = ys[(ys > 0.0) & (ys <= ell * (1 + 1e-12))]
-        bounds = np.concatenate(([0.0], np.minimum(ys, ell)))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # Crossings up to just past q count: q itself often sits at the target.
+        pieces = _level_intervals(frame, target, ell * (1 + 1e-12))[:-1]
+        for lo, hi in pieces:
             if g(0.5 * (lo + hi)) > target:
                 return _c2p(frame.point_at(lo)) if lo > 0 else _c2p(frame.point_at(hi))
-        if ys.size:
-            return _c2p(frame.point_at(float(ys[0])))
-        return None
+        return _c2p(frame.point_at(pieces[0][1])) if pieces else None
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +230,35 @@ def _spectrum_box(eigs: np.ndarray, norm_a: float) -> Box:
     hx = 1.5 * hx + margin
     hy = 1.5 * hy + margin
     return Box((cx - hx, cy - hy), (cx + hx, cy + hy))
+
+
+@dataclass(frozen=True)
+class PreparedMatrix:
+    """A validated matrix with the spectral data every entry point needs.
+
+    ``eigs`` are sorted as :func:`eigenvalues` sorts them, ``norm`` is the
+    spectral norm and ``region`` the inflated spectrum box that bounds both
+    the Voronoi diagram and the local iteration.
+    """
+
+    matrix: np.ndarray
+    eigs: np.ndarray
+    norm: float
+    region: Box
+
+
+def prepare(a) -> PreparedMatrix:
+    """Validate ``a`` and compute its eigenvalues, norm and region once.
+
+    A :class:`PreparedMatrix` is returned unchanged, so entry points that
+    call each other share one preparation.
+    """
+    if isinstance(a, PreparedMatrix):
+        return a
+    m = as_complex_matrix(a)
+    eigs = eigenvalues(m)
+    norm_a = spectral_norm(m)
+    return PreparedMatrix(matrix=m, eigs=eigs, norm=norm_a, region=_spectrum_box(eigs, norm_a))
 
 
 def voronoi_edges(spectrum, bbox: Box) -> list[VoronoiEdge]:
@@ -316,19 +329,17 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     Returns the generating pair of the globally minimizing edge, the argmin as
     a seed point, and the minimal sigma value found on the diagram.
     """
-    m = as_complex_matrix(a)
-    eigs = eigenvalues(m)
-    norm_a = spectral_norm(m)
-    gap_tol = 1e-10 * (1.0 + norm_a)
+    pm = prepare(a)
+    eigs = pm.eigs
+    gap_tol = 1e-10 * (1.0 + pm.norm)
     for i in range(len(eigs)):
         for j in range(i + 1, len(eigs)):
             if abs(eigs[i] - eigs[j]) <= gap_tol:
                 raise DegenerateSpectrumError(complex(eigs[i]))
-    bbox = _spectrum_box(eigs, norm_a)
-    edges = voronoi_edges(eigs, bbox)
+    edges = voronoi_edges(eigs, pm.region)
     best_edge = None
     for e in edges:
-        z, v = segment_minimize_sigma(m, e.start, e.end)
+        z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
         e.min_sigma = v
         e.argmin = z
         if best_edge is None or v < best_edge.min_sigma:
@@ -350,9 +361,6 @@ class WilkinsonOptions:
     #: degenerate to points.
     pull_in: float = 0.02
     exhaustive: bool = False
-    #: Cap on the number of eigenvalue pairs tried in exhaustive mode
-    #: (nearest pairs first); None means all pairs.
-    max_pairs: Optional[int] = None
     #: Iteration cap per pair in exhaustive mode (converging pairs need few).
     exhaustive_max_iter: int = 20
 
@@ -409,26 +417,24 @@ def wilkinson_local(
     advance, segment max) is dispatched to the exact crossing-based solvers,
     so the bisector step is solved globally on its chord.
     """
-    m = as_complex_matrix(a)
+    pm = prepare(a)
+    m = pm.matrix
     opts = opts or WilkinsonOptions()
     lam1 = complex(lam1)
     lam2 = complex(lam2)
     if lam1 == lam2:
         raise ValueError("eigenvalue pair must be distinct")
-    norm_a = spectral_norm(m)
-    tol_eig = 1e-8 * (1.0 + norm_a)
+    tol_eig = 1e-8 * (1.0 + pm.norm)
     for lam in (lam1, lam2):
         if smallest_singular_value(m - lam * np.eye(m.shape[0])) > tol_eig:
             raise ValueError(f"{lam} is not an eigenvalue of the matrix (residual > {tol_eig})")
 
-    eigs = eigenvalues(m)
-    region = _spectrum_box(eigs, norm_a)
     sfield = SigmaMinField(m).as_scalar_field()
     oracle = ByersSegmentOracle(m)
     t = opts.pull_in
     x0 = _c2p(lam1 + t * (lam2 - lam1))
     y0 = _c2p(lam2 - t * (lam2 - lam1))
-    run = run_local(sfield, region, x0, y0, opts=opts.local, oracle=oracle)
+    run = run_local(sfield, pm.region, x0, y0, opts=opts.local, oracle=oracle)
     if not run.records:
         raise PreconditionError("local iteration produced no records")
     last = run.records[-1]
@@ -462,46 +468,34 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     """Estimate the Wilkinson distance of a matrix.
 
     Runs the Voronoi heuristic to pick an eigenvalue pair, then the local
-    solver on that pair.  With ``opts.exhaustive`` every eigenvalue pair (or
-    the nearest ``max_pairs``) is tried and the smallest converged estimate is
-    returned, covering the known failure mode of the heuristic.  The result is
-    a local estimate, not a certificate of the global distance.
+    solver on that pair.  With ``opts.exhaustive`` every eigenvalue pair is
+    tried and the smallest converged estimate is returned, covering the known
+    failure mode of the heuristic.  The result is a local estimate, not a
+    certificate of the global distance.
     """
-    m = as_complex_matrix(a)
+    pm = prepare(a)
     opts = opts or WilkinsonOptions()
     try:
-        pair, _, _ = voronoi_heuristic(m)
+        pair, _, _ = voronoi_heuristic(pm)
     except DegenerateSpectrumError as err:
-        return _degenerate_result(m, err.eigenvalue)
+        return _degenerate_result(pm.matrix, err.eigenvalue)
 
-    result = wilkinson_local(m, pair[0], pair[1], opts)
+    result = wilkinson_local(pm, pair[0], pair[1], opts)
     result.heuristic_pair = pair
     result.heuristic_epsilon = result.epsilon_bar_estimate
 
     if not opts.exhaustive:
         return result
 
-    eigs = eigenvalues(m)
+    eigs = pm.eigs
     pairs = [
         (abs(eigs[i] - eigs[j]), i, j)
         for i in range(len(eigs))
         for j in range(i + 1, len(eigs))
     ]
     pairs.sort(key=lambda t: t[0])
-    if opts.max_pairs is not None:
-        pairs = pairs[: opts.max_pairs]
 
-    scan_opts = WilkinsonOptions(
-        local=LocalOptions(
-            point_tol=opts.local.point_tol,
-            gap_tol=opts.local.gap_tol,
-            max_iter=opts.exhaustive_max_iter,
-            do_step_1a=opts.local.do_step_1a,
-            segment_search_samples=opts.local.segment_search_samples,
-            bisector_min_tol=opts.local.bisector_min_tol,
-        ),
-        pull_in=opts.pull_in,
-    )
+    scan_opts = replace(opts, local=replace(opts.local, max_iter=opts.exhaustive_max_iter))
     scan: list[dict] = []
     best = result
     for _, i, j in pairs:
@@ -510,7 +504,7 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
             entry = result
         else:
             try:
-                entry = wilkinson_local(m, li, lj, scan_opts)
+                entry = wilkinson_local(pm, li, lj, scan_opts)
             except (BoundaryHitError, PreconditionError, ResolutionLimitError,
                     ValueError, np.linalg.LinAlgError) as err:
                 scan.append({"pair": (li, lj), "epsilon": None, "converged": False,
@@ -552,15 +546,11 @@ def pseudospectrum_grid(a, bbox, nx: int, ny: int) -> PseudospectrumGrid:
     ys = np.linspace(y0, y1, ny)
     gx, gy = np.meshgrid(xs, ys)
     zs = gx.ravel() + 1j * gy.ravel()
-    field = SigmaMinField(m)
-    from .linalg import _sigma_batch
-
-    sigma = _sigma_batch(field.matrix, zs).reshape(ny, nx)
+    sigma = _sigma_batch(m, zs).reshape(ny, nx)
     return PseudospectrumGrid(xs=xs, ys=ys, sigma=sigma, bbox=(x0, y0, x1, y1))
 
 
 def default_psgrid_box(a) -> tuple[float, float, float, float]:
     """Spectrum bounding box inflated the same way the local solver's region is."""
-    m = as_complex_matrix(a)
-    box = _spectrum_box(eigenvalues(m), spectral_norm(m))
+    box = prepare(a).region
     return (box.lower[0], box.lower[1], box.upper[0], box.upper[1])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from saddlepass import cli, matrixio
+from saddlepass.errors import PreconditionError
 
 from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5
 
@@ -165,6 +166,21 @@ def test_cli_wilkinson_perturbation_file(tmp_path, matrix_file):
     e = matrixio.read_matrix(pert)
     eps = json.loads(out.read_text())["epsilon_bar"]
     assert abs(np.linalg.norm(e, 2) - eps) <= 1e-10 * (1.0 + eps)
+
+
+@pytest.mark.parametrize("command", ["wilkinson", "solve-local"])
+def test_cli_solver_precondition_failure_is_numerical(tmp_path, matrix_file, monkeypatch,
+                                                      command):
+    # A valid matrix on which the solver fails is a numerical failure (3),
+    # not an input error (1).
+    def fail(*args, **kwargs):
+        raise PreconditionError("local iteration produced no records")
+
+    monkeypatch.setattr(cli, "wilkinson_distance", fail)
+    out = tmp_path / "never.out"
+    rc = run_cli([command, "--matrix", str(matrix_file), "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
 
 
 def test_cli_psgrid(tmp_path):

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import saddlepass.wilkinson as wk
 from saddlepass import (
     Box,
     SigmaMinField,
@@ -231,6 +234,25 @@ def test_exhaustive_mode_reproduces_heuristic_failure(ex_bidiag10):
     assert {complex(res.chosen_pair[0]), complex(res.chosen_pair[1])} != {
         complex(res.heuristic_pair[0]), complex(res.heuristic_pair[1])
     }
+
+
+def test_exhaustive_scan_prepares_the_matrix_once(monkeypatch, ex_bidiag5):
+    # The heuristic, every pair's local solve and the scan share one
+    # preparation: one eigensolve and one norm for the whole run.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigenvalues", "spectral_norm"):
+        monkeypatch.setattr(wk, name, counted(name, getattr(wk, name)))
+    res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
+    assert res.pair_scan is not None and len(res.pair_scan) == 10
+    assert calls == {"eigenvalues": 1, "spectral_norm": 1}
 
 
 # ------------------------------------------------------------ perturbation
