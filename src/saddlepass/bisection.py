@@ -220,7 +220,7 @@ def component_distance(q: ComponentQuery, a, b) -> Optional[ClosestPair]:
     if seed_pair is None:
         seed_pair = _closest_cell_pair(grid, la, lb)[:2]
     pa, pb = seed_pair
-    x, y = refine_closest_pair(q.field, q.region, pa, pb, q.level, point_tol=1e-10, max_sweeps=50)
+    x, y = refine_closest_pair(q.field, q.region, pa, pb, q.level, point_tol=1e-10)
     scale = 1.0 + float(np.linalg.norm(x))
     on_boundary = (
         q.region.boundary_distance(x) <= 1e-7 * scale

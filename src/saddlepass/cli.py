@@ -133,9 +133,6 @@ def cmd_solve_bisect(args) -> int:
     )
     try:
         state = bisect(prob, opts=opts)
-    except UnsupportedDimensionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except ResolutionLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -243,33 +240,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_input=True):
+    def add_common(p, tol_gap, max_iter, need_input=True):
         if need_input:
             grp = p.add_mutually_exclusive_group(required=True)
             grp.add_argument("--problem", help="catalog problem name")
             grp.add_argument("--matrix", help="path to a matrix file")
         p.add_argument("--tol-point", type=float, default=1e-10)
-        p.add_argument("--tol-gap", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
+        p.add_argument("--tol-gap", type=float, default=tol_gap)
+        p.add_argument("--max-iter", type=int, default=max_iter)
         p.add_argument("--step1a", action="store_true")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
 
     p_local = sub.add_parser("solve-local", help="fast local level-set iteration")
-    add_common(p_local)
-    p_local.set_defaults(func=cmd_solve_local, default_tol_gap=1e-12, default_max_iter=50)
+    add_common(p_local, 1e-12, 50)
+    p_local.set_defaults(func=cmd_solve_local)
 
     p_bis = sub.add_parser("solve-bisect", help="level bisection with component tests")
-    add_common(p_bis)
-    p_bis.set_defaults(func=cmd_solve_bisect, default_tol_gap=1e-6, default_max_iter=80)
+    add_common(p_bis, 1e-6, 80)
+    p_bis.set_defaults(func=cmd_solve_bisect)
 
     p_wil = sub.add_parser("wilkinson", help="Wilkinson distance pipeline")
-    add_common(p_wil, need_input=False)
+    add_common(p_wil, 1e-12, 50, need_input=False)
     p_wil.add_argument("--matrix", required=True)
     p_wil.add_argument("--exhaustive", action="store_true")
     p_wil.add_argument("--perturbation-out", default=None)
-    p_wil.set_defaults(format="json", func=cmd_wilkinson, default_tol_gap=1e-12,
-                       default_max_iter=50)
+    p_wil.set_defaults(format="json", func=cmd_wilkinson)
 
     p_grid = sub.add_parser("psgrid", help="pseudospectrum grid as CSV")
     p_grid.add_argument("--matrix", required=True)
@@ -290,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "tol_gap") and args.tol_gap is None:
-        args.tol_gap = args.default_tol_gap
-    if hasattr(args, "max_iter") and args.max_iter is None:
-        args.max_iter = args.default_max_iter
     try:
         return args.func(args)
     except UnsupportedDimensionError as err:

@@ -20,25 +20,46 @@ import numpy as np
 from .fields import ScalarField
 
 
-def fd_gradient(field: ScalarField, x, h_scale: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with step h = h_scale * (1 + |x_k|) per axis."""
-    x = np.asarray(x, dtype=float).reshape(field.dimension)
-    g = np.empty(x.size)
+#: Relative central-difference steps, h = step * (1 + |x_k|) per axis.  Second
+#: differences divide by h^2, so the Hessian takes the larger step.
+_FD_STEP = 1e-6
+_FD_HESSIAN_STEP = 1e-4
+
+
+def _central_differences(fn, x: np.ndarray) -> np.ndarray:
+    """Row k is (fn(x + h e_k) - fn(x - h e_k)) / 2h with h = _FD_STEP * (1 + |x_k|)."""
+    rows = []
     for k in range(x.size):
-        h = h_scale * (1.0 + abs(x[k]))
+        h = _FD_STEP * (1.0 + abs(x[k]))
         xp = x.copy()
         xm = x.copy()
         xp[k] += h
         xm[k] -= h
-        g[k] = (field.value(xp) - field.value(xm)) / (2.0 * h)
-    return g
+        rows.append((fn(xp) - fn(xm)) / (2.0 * h))
+    return np.array(rows)
 
 
-def fd_hessian(field: ScalarField, x, h_scale: float = 1e-4) -> np.ndarray:
+def fd_gradient(field: ScalarField, x) -> np.ndarray:
+    """Central-difference gradient with step h = 1e-6 * (1 + |x_k|) per axis."""
+    return _central_differences(field.value, np.asarray(x, dtype=float).reshape(field.dimension))
+
+
+def fd_jacobian(fn, x) -> np.ndarray:
+    """Symmetrized central-difference Jacobian of a gradient map ``fn`` at ``x``.
+
+    Column k differences ``fn`` along axis k with the steps of
+    :func:`fd_gradient`; the Hessian of a smooth field is symmetric, so the
+    average with the transpose removes the asymmetric part of the error.
+    """
+    jac = _central_differences(fn, np.asarray(x, dtype=float)).T
+    return 0.5 * (jac + jac.T)
+
+
+def fd_hessian(field: ScalarField, x) -> np.ndarray:
     """Central second differences, symmetrized."""
     x = np.asarray(x, dtype=float).reshape(field.dimension)
     n = x.size
-    h = h_scale * (1.0 + np.abs(x))
+    h = _FD_HESSIAN_STEP * (1.0 + np.abs(x))
     f0 = field.value(x)
     hess = np.empty((n, n))
     for i in range(n):

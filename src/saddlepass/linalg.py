@@ -24,15 +24,15 @@ _IMAG_AXIS_RTOL = 1e-8
 _MERGE_TOL = 1e-10
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_complex_matrix(a) -> np.ndarray:
     """Validate and return a square, finite complex matrix (a copy)."""
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
     if m.shape[0] == 0:
-        raise ValueError(f"{name} must be nonempty")
+        raise ValueError("matrix must be nonempty")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     return m
 
 
@@ -105,10 +105,6 @@ class SegmentFrame:
 
     def point_at(self, y: float) -> complex:
         return self.p + (self.q - self.p) * (y / self.length)
-
-    def y_of(self, z: complex) -> float:
-        d = self.q - self.p
-        return float(((z - self.p) * d.conjugate()).real / abs(d))
 
 
 def rotate_to_vertical(a, p: complex, q: complex) -> SegmentFrame:

@@ -16,14 +16,23 @@ pipeline has one) can swap out the default sampling-plus-refinement scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Protocol
 
 import numpy as np
 from scipy.optimize import brentq, minimize as sp_minimize, minimize_scalar
 
-from .diagnostics import fd_gradient, gradient_of
+from .diagnostics import fd_jacobian, gradient_of
 from .errors import BoundaryHitError, PreconditionError
 from .fields import Region, ScalarField
+
+#: Uniform samples per segment for the default oracle's coarse search.
+_SEGMENT_SAMPLES = 64
+
+#: Samples per segment when snapping a closest pair to the sublevel boundary,
+#: and the cap on alternating sweeps of :func:`refine_closest_pair`.
+_PAIR_SAMPLES = 128
+_PAIR_MAX_SWEEPS = 50
 
 
 # --------------------------------------------------------------------------
@@ -95,12 +104,11 @@ class DefaultSegmentOracle:
     interior extremum or first crossing on the segments the solver builds.
     """
 
-    def __init__(self, field: ScalarField, samples: int = 64):
+    def __init__(self, field: ScalarField):
         self.field = field
-        self.samples = max(8, int(samples))
 
     def _sample(self, p, q):
-        ts = np.linspace(0.0, 1.0, self.samples + 1)
+        ts = np.linspace(0.0, 1.0, _SEGMENT_SAMPLES + 1)
         pts = p[None, :] + ts[:, None] * (q - p)[None, :]
         return ts, self.field.value_many(pts)
 
@@ -292,24 +300,12 @@ def minimize_on_hyperplane(
 
     # Newton polish with a finite-difference Jacobian of the reduced gradient.
     def rgrad(w):
-        if gj is not None:
-            return gj(w)
-        return basis.T @ fd_gradient(field, through + basis @ w)
+        return basis.T @ gradient_of(field, through + basis @ w)
 
     for _ in range(3):
         gr = rgrad(w)
-        m = w.size
-        hess = np.empty((m, m))
-        for k in range(m):
-            h = 1e-6 * (1.0 + abs(w[k]))
-            wp = w.copy()
-            wm = w.copy()
-            wp[k] += h
-            wm[k] -= h
-            hess[:, k] = (rgrad(wp) - rgrad(wm)) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
         try:
-            step = np.linalg.solve(hess, -gr)
+            step = np.linalg.solve(fd_jacobian(rgrad, w), -gr)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
@@ -342,7 +338,6 @@ def equalize_endpoints(
     x0,
     y0,
     oracle: Optional[SegmentOracle] = None,
-    samples: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replace the lower endpoint by the nearest point on [x0, y0] at the higher level."""
     x0 = np.asarray(x0, dtype=float).copy()
@@ -351,7 +346,7 @@ def equalize_endpoints(
     fy = field.value(y0)
     if fx == fy:
         return x0, y0
-    orc = oracle or DefaultSegmentOracle(field, samples)
+    orc = oracle or DefaultSegmentOracle(field)
     if fx < fy:
         p = orc.first_crossing(x0, y0, fy)
         if p is None:
@@ -391,7 +386,6 @@ def advance_along_segment(
     to,
     cap: float,
     oracle: Optional[SegmentOracle] = None,
-    samples: int = 64,
 ) -> np.ndarray:
     """Furthest point p on [frm, to] with the field at most ``cap`` on [frm, p].
 
@@ -407,7 +401,7 @@ def advance_along_segment(
         raise PreconditionError(f"f(from) = {f_from} exceeds cap {cap}")
     if np.array_equal(frm, to):
         return to.copy()
-    orc = oracle or DefaultSegmentOracle(field, samples)
+    orc = oracle or DefaultSegmentOracle(field)
     limit = orc.advance_limit(frm, to, cap, slack)
     if limit is None:
         return to.copy()
@@ -419,14 +413,13 @@ def segment_max(
     x,
     y,
     oracle: Optional[SegmentOracle] = None,
-    samples: int = 64,
 ) -> tuple[float, np.ndarray]:
     """Maximum of the field on the segment [x, y], with its argmax."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.array_equal(x, y):
         raise ValueError("segment endpoints must differ")
-    orc = oracle or DefaultSegmentOracle(field, samples)
+    orc = oracle or DefaultSegmentOracle(field)
     return orc.maximize(x, y)
 
 
@@ -446,7 +439,7 @@ def _sublevel_runs(vs: np.ndarray, level: float, tol: float):
     return runs
 
 
-def _segment_crossing_pair(field, xs, ys, level, tolzero, samples=128):
+def _segment_crossing_pair(field, xs, ys, level, tolzero):
     """Closest pair between the sublevel components met along [xs, ys].
 
     Returns None when the segment sees fewer than two sublevel runs (the
@@ -459,7 +452,7 @@ def _segment_crossing_pair(field, xs, ys, level, tolzero, samples=128):
     def phi(t):
         return field.value(xs + t * seg)
 
-    ts = np.linspace(0.0, 1.0, samples + 1)
+    ts = np.linspace(0.0, 1.0, _PAIR_SAMPLES + 1)
     vs = field.value_many(xs[None, :] + ts[:, None] * seg[None, :])
     runs = _sublevel_runs(vs, level, tolzero)
     if len(runs) < 2:
@@ -510,25 +503,14 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
             ]
         )
 
-    def hess_of(p):
-        h = np.empty((n, n))
-        for k in range(n):
-            step = 1e-6 * (1.0 + abs(p[k]))
-            pp = p.copy()
-            pm = p.copy()
-            pp[k] += step
-            pm[k] -= step
-            h[:, k] = (gradient_of(field, pp) - gradient_of(field, pm)) / (2.0 * step)
-        return 0.5 * (h + h.T)
-
     r = residual(x, y, k1, k2)
     for _ in range(steps):
         nr = float(np.linalg.norm(r))
         if nr <= 1e-13 * (1.0 + abs(level)):
             break
         d = y - x
-        hx = hess_of(x)
-        hy = hess_of(y)
+        hx = fd_jacobian(partial(gradient_of, field), x)
+        hy = fd_jacobian(partial(gradient_of, field), y)
         gx = gradient_of(field, x)
         gy = gradient_of(field, y)
         jac = np.zeros((2 * n + 2, 2 * n + 2))
@@ -571,8 +553,6 @@ def refine_closest_pair(
     y,
     level: float,
     point_tol: float = 1e-10,
-    max_sweeps: int = 50,
-    samples: int = 128,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating closest-pair polish between two sublevel components.
 
@@ -603,7 +583,7 @@ def refine_closest_pair(
             best = (p.copy(), q.copy())
             best_dist = d
 
-    for _ in range(max_sweeps):
+    for _ in range(_PAIR_MAX_SWEEPS):
         d = x - y
         dist = float(np.linalg.norm(d))
         if dist == 0.0:
@@ -617,7 +597,7 @@ def refine_closest_pair(
         except BoundaryHitError as hit:
             ys = hit.point
 
-        cp = _segment_crossing_pair(field, xs, ys, level, tolzero, samples)
+        cp = _segment_crossing_pair(field, xs, ys, level, tolzero)
         if cp is None:
             break  # components merged (or vanished) along this segment
         x_new, y_new = cp
@@ -625,7 +605,7 @@ def refine_closest_pair(
         if new_dist >= dist - 1e-15 and _feasible(x, y):
             # Mirror 2-cycle or stall: average the two states and re-snap.
             damped = _segment_crossing_pair(
-                field, 0.5 * (x + x_new), 0.5 * (y + y_new), level, tolzero, samples
+                field, 0.5 * (x + x_new), 0.5 * (y + y_new), level, tolzero
             )
             if damped is not None:
                 x_new, y_new = damped
@@ -663,7 +643,6 @@ class LocalOptions:
     gap_tol: float = 1e-12
     max_iter: int = 50
     do_step_1a: bool = False
-    segment_search_samples: int = 64
 
     def __post_init__(self):
         for name in ("point_tol", "gap_tol"):
@@ -671,8 +650,6 @@ class LocalOptions:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.segment_search_samples < 8:
-            raise ValueError("segment_search_samples must be at least 8")
 
 
 @dataclass
@@ -717,7 +694,7 @@ def run_local(
     otherwise returns with ``converged=False``.
     """
     opts = opts or LocalOptions()
-    orc = oracle or DefaultSegmentOracle(field, opts.segment_search_samples)
+    orc = oracle or DefaultSegmentOracle(field)
     x, y = equalize_endpoints(field, x0, y0, oracle=orc)
     initial_pair = (x.copy(), y.copy())
 
@@ -737,18 +714,12 @@ def run_local(
         if field.value(x) > f_z + slack:
             reason = "bisector_below_level"
             break
-        x_new = advance_along_segment(
-            field, x, z, f_z, oracle=orc, samples=opts.segment_search_samples
-        )
-        y_new = advance_along_segment(
-            field, y, z, f_z, oracle=orc, samples=opts.segment_search_samples
-        )
+        x_new = advance_along_segment(field, x, z, f_z, oracle=orc)
+        y_new = advance_along_segment(field, y, z, f_z, oracle=orc)
         f_x = field.value(x_new)
         dist = float(np.linalg.norm(x_new - y_new))
         if dist > 0.0:
-            m_val, _ = segment_max(
-                field, x_new, y_new, oracle=orc, samples=opts.segment_search_samples
-            )
+            m_val, _ = segment_max(field, x_new, y_new, oracle=orc)
         else:
             m_val = f_x
         gap_ratio = (m_val - f_x) / f_x if f_x != 0.0 else (m_val - f_x)
@@ -782,20 +753,18 @@ def run_local(
     return LocalRun(initial_pair=initial_pair, records=records, converged=converged, stop_reason=reason)
 
 
-def polyline_max(field: ScalarField, vertices: np.ndarray, oracle=None) -> float:
+def polyline_max(field: ScalarField, vertices: np.ndarray) -> float:
     """Maximum of the field along a polyline (refined per edge)."""
     best = field.value(vertices[0])
     for a, b in zip(vertices[:-1], vertices[1:]):
         if np.array_equal(a, b):
             continue
-        m, _ = segment_max(field, a, b, oracle=oracle)
+        m, _ = segment_max(field, a, b)
         best = max(best, m)
     return float(best)
 
 
-def assemble_local_path(
-    field: ScalarField, run: LocalRun, oracle: Optional[SegmentOracle] = None
-) -> tuple[np.ndarray, float]:
+def assemble_local_path(field: ScalarField, run: LocalRun) -> tuple[np.ndarray, float]:
     """Polyline x0, x1, ..., xk, yk, ..., y1, y0 with its max-value certificate.
 
     The maximum of the field along the polyline is an upper bound witness; it
@@ -806,4 +775,4 @@ def assemble_local_path(
     xs = [run.initial_pair[0]] + [r.x for r in run.records]
     ys = [r.y for r in run.records][::-1] + [run.initial_pair[1]]
     vertices = np.vstack(xs + ys)
-    return vertices, polyline_max(field, vertices, oracle=oracle)
+    return vertices, polyline_max(field, vertices)

@@ -2,7 +2,7 @@
 
 Text form: first line holds n, then n rows.  A row is either n complex tokens
 like ``0.461+0.65j`` or 2n whitespace-separated floats taken as re/im pairs.
-JSON form: ``{"n": ..., "re": [[...]], "im": [[...]]}``.
+JSON form: ``{"n": ..., "re": [[...]], "im": [[...]]}``.  Entries must be finite.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from .linalg import as_complex_matrix
 
 
 def format_float(v: float) -> str:
@@ -72,7 +74,8 @@ def _parse_matrix_json(text: str) -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    return parse_matrix_text(Path(path).read_text())
+    """Read a matrix file, validated as solver input (every entry finite)."""
+    return as_complex_matrix(parse_matrix_text(Path(path).read_text()))
 
 
 def matrix_to_text(a: np.ndarray) -> str:

@@ -52,6 +52,14 @@ _LEVEL_INFLATION = 2e-8
 
 _MAX_SWEEPS = 60
 
+#: Fraction of the inter-eigenvalue distance by which the endpoints are pulled
+#: inside; exact eigenvalues give sigma = 0 where level components degenerate
+#: to points.
+_PULL_IN = 0.02
+
+#: Iteration cap per pair in exhaustive mode (converging pairs need few).
+_EXHAUSTIVE_MAX_ITER = 20
+
 
 def _c2p(z: complex) -> np.ndarray:
     return np.array([z.real, z.imag])
@@ -214,9 +222,6 @@ class VoronoiEdge:
     start: complex
     end: complex
     pair: tuple[complex, complex]
-    pair_indices: tuple[int, int]
-    min_sigma: Optional[float] = None
-    argmin: Optional[complex] = None
 
 
 def _spectrum_box(eigs: np.ndarray, norm_a: float) -> Box:
@@ -316,10 +321,8 @@ def voronoi_edges(spectrum, bbox: Box) -> list[VoronoiEdge]:
                 continue
             z0 = mid + tlo * u
             z1 = mid + thi * u
-            edges.append(
-                VoronoiEdge(start=complex(z0), end=complex(z1), pair=(complex(zi), complex(zj)),
-                            pair_indices=(i, j))
-            )
+            edges.append(VoronoiEdge(start=complex(z0), end=complex(z1),
+                                     pair=(complex(zi), complex(zj))))
     return edges
 
 
@@ -336,17 +339,14 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
         for j in range(i + 1, len(eigs)):
             if abs(eigs[i] - eigs[j]) <= gap_tol:
                 raise DegenerateSpectrumError(complex(eigs[i]))
-    edges = voronoi_edges(eigs, pm.region)
-    best_edge = None
-    for e in edges:
+    best = None
+    for e in voronoi_edges(eigs, pm.region):
         z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
-        e.min_sigma = v
-        e.argmin = z
-        if best_edge is None or v < best_edge.min_sigma:
-            best_edge = e
-    if best_edge is None:
+        if best is None or v < best[2]:
+            best = (e.pair, z, float(v))
+    if best is None:
         raise RuntimeError("no Voronoi edges inside the bounding box")
-    return best_edge.pair, best_edge.argmin, float(best_edge.min_sigma)
+    return best
 
 
 # --------------------------------------------------------------------------
@@ -356,17 +356,7 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
 @dataclass
 class WilkinsonOptions:
     local: LocalOptions = dc_field(default_factory=LocalOptions)
-    #: Fraction of the inter-eigenvalue distance by which the endpoints are
-    #: pulled inside; exact eigenvalues give sigma = 0 where level components
-    #: degenerate to points.
-    pull_in: float = 0.02
     exhaustive: bool = False
-    #: Iteration cap per pair in exhaustive mode (converging pairs need few).
-    exhaustive_max_iter: int = 20
-
-    def __post_init__(self):
-        if not 0 < self.pull_in < 0.5:
-            raise ValueError("pull_in must be in (0, 0.5)")
 
 
 @dataclass
@@ -431,9 +421,8 @@ def wilkinson_local(
 
     sfield = SigmaMinField(m).as_scalar_field()
     oracle = ByersSegmentOracle(m)
-    t = opts.pull_in
-    x0 = _c2p(lam1 + t * (lam2 - lam1))
-    y0 = _c2p(lam2 - t * (lam2 - lam1))
+    x0 = _c2p(lam1 + _PULL_IN * (lam2 - lam1))
+    y0 = _c2p(lam2 - _PULL_IN * (lam2 - lam1))
     run = run_local(sfield, pm.region, x0, y0, opts=opts.local, oracle=oracle)
     if not run.records:
         raise PreconditionError("local iteration produced no records")
@@ -495,7 +484,7 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     ]
     pairs.sort(key=lambda t: t[0])
 
-    scan_opts = replace(opts, local=replace(opts.local, max_iter=opts.exhaustive_max_iter))
+    scan_opts = replace(opts, local=replace(opts.local, max_iter=_EXHAUSTIVE_MAX_ITER))
     scan: list[dict] = []
     best = result
     for _, i, j in pairs:

@@ -8,6 +8,7 @@ from saddlepass import (
     get_problem,
     make_quadratic_field,
 )
+from saddlepass.diagnostics import fd_jacobian
 
 from conftest import BIDIAG_5X5_EPS
 
@@ -101,3 +102,30 @@ def test_convergence_rates_reported_lower_bound_column():
     values = [6.1325135002707e-4, 6.1511091521293e-4, 6.1511092861422e-4]
     rates = convergence_rates(values, BIDIAG_5X5_EPS)
     assert all(r is not None and r <= 1e-4 for r in rates)
+
+
+def test_fd_jacobian_of_quadratic_gradient_is_its_hessian():
+    # grad of sum a_j x_j^2 is 2 a x, so the Jacobian is diag(2 a) exactly up
+    # to the rounding of the central differences.
+    f = make_quadratic_field([2.0, 3.0, -1.0])
+    x = np.array([0.3, -1.2, 2.5])
+    jac = fd_jacobian(f.grad, x)
+    assert np.allclose(jac, np.diag([4.0, 6.0, -2.0]), rtol=0, atol=1e-8)
+    assert np.array_equal(jac, jac.T)
+    # Same arithmetic as a plain column-by-column loop.
+    ref = np.empty((3, 3))
+    for k in range(3):
+        h = 1e-6 * (1.0 + abs(x[k]))
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h
+        xm[k] -= h
+        ref[:, k] = (f.grad(xp) - f.grad(xm)) / (2.0 * h)
+    assert np.array_equal(jac, 0.5 * (ref + ref.T))
+
+
+def test_fd_jacobian_symmetrizes_a_nonsymmetric_map():
+    # The Jacobian of x -> M x is M; fd_jacobian returns its symmetric part.
+    m = np.array([[1.0, 2.0], [0.0, 3.0]])
+    jac = fd_jacobian(lambda x: m @ x, [0.5, -0.25])
+    assert np.allclose(jac, 0.5 * (m + m.T), rtol=0, atol=1e-8)
+    assert np.array_equal(jac, jac.T)

@@ -45,6 +45,8 @@ def test_json_matrix_form(tmp_path):
         "2\n1 zz\n3 4\n",        # bad token
         "3\n1 2 3\n4 5 6\n",     # missing row
         '{"n": 2, "re": [[1]]}', # missing JSON key
+        "2\nnan 0\n0 1\n",       # NaN entry
+        "2\n1 0 inf 0\n0 0 1 0\n", # infinite real part in a re/im pair row
     ],
 )
 def test_malformed_matrix_files(tmp_path, text):
@@ -180,6 +182,23 @@ def test_cli_solver_precondition_failure_is_numerical(tmp_path, matrix_file, mon
     out = tmp_path / "never.out"
     rc = run_cli([command, "--matrix", str(matrix_file), "--out", str(out)])
     assert rc == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("wilkinson", []), ("solve-local", []), ("psgrid", ["--grid", "3", "3"])],
+    ids=["wilkinson", "solve-local", "psgrid"],
+)
+def test_cli_non_finite_matrix_is_input_error(tmp_path, capsys, command, extra):
+    # A NaN entry is an input error (1) reported as "error: ...", not a
+    # traceback from the solver; psgrid runs without --box.
+    bad = tmp_path / "nan.txt"
+    bad.write_text("2\n1 nan\n0 2\n")
+    out = tmp_path / "never.out"
+    rc = run_cli([command, "--matrix", str(bad), *extra, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
     assert not out.exists()
 
 
