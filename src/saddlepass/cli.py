@@ -84,7 +84,11 @@ def _records_json_obj(records) -> list[dict]:
 
 
 def cmd_solve_local(args) -> int:
-    opts = _local_options(args)
+    try:
+        opts = _local_options(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
     if args.problem:
         try:
             prob = get_problem(args.problem)
@@ -128,9 +132,13 @@ def cmd_solve_bisect(args) -> int:
     except KeyError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    opts = BisectionOptions(
-        value_tol=args.tol_gap, point_tol=args.tol_point, max_iter=args.max_iter
-    )
+    try:
+        opts = BisectionOptions(
+            value_tol=args.tol_gap, point_tol=args.tol_point, max_iter=args.max_iter
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         state = bisect(prob, opts=opts)
     except ResolutionLimitError as err:
@@ -167,7 +175,11 @@ def cmd_wilkinson(args) -> int:
     if args.format == "csv":
         print("error: wilkinson emits JSON; use --format json", file=sys.stderr)
         return EXIT_INPUT
-    opts = WilkinsonOptions(local=_local_options(args), exhaustive=args.exhaustive)
+    try:
+        opts = WilkinsonOptions(local=_local_options(args), exhaustive=args.exhaustive)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
     result = wilkinson_distance(matrix, opts)
 
     obj = {

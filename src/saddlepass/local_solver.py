@@ -302,6 +302,7 @@ def minimize_on_hyperplane(
     def rgrad(w):
         return basis.T @ gradient_of(field, through + basis @ w)
 
+    gw = g(w)
     for _ in range(3):
         gr = rgrad(w)
         try:
@@ -311,9 +312,10 @@ def minimize_on_hyperplane(
         if not np.all(np.isfinite(step)):
             break
         w_new = w + step
-        if g(w_new) > g(w) + 1e-14 * (1.0 + abs(g(w))):
+        g_new = g(w_new)
+        if g_new > gw + 1e-14 * (1.0 + abs(gw)):
             break
-        w = w_new
+        w, gw = w_new, g_new
         if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(w)):
             break
 
@@ -493,17 +495,13 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
     k1 = max(0.0, float(gx @ d) / dd)
     k2 = max(0.0, float(gy @ (-d)) / dd)
 
-    def residual(x, y, k1, k2):
+    def residual(x, y, k1, k2, gx, gy):
         d = y - x
         return np.concatenate(
-            [
-                gradient_of(field, x) - k1 * d,
-                gradient_of(field, y) + k2 * d,
-                [field.value(x) - level, field.value(y) - level],
-            ]
+            [gx - k1 * d, gy + k2 * d, [field.value(x) - level, field.value(y) - level]]
         )
 
-    r = residual(x, y, k1, k2)
+    r = residual(x, y, k1, k2, gx, gy)
     for _ in range(steps):
         nr = float(np.linalg.norm(r))
         if nr <= 1e-13 * (1.0 + abs(level)):
@@ -511,8 +509,6 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
         d = y - x
         hx = fd_jacobian(partial(gradient_of, field), x)
         hy = fd_jacobian(partial(gradient_of, field), y)
-        gx = gradient_of(field, x)
-        gy = gradient_of(field, y)
         jac = np.zeros((2 * n + 2, 2 * n + 2))
         jac[:n, :n] = hx + k1 * np.eye(n)
         jac[:n, n : 2 * n] = -k1 * np.eye(n)
@@ -532,10 +528,12 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
         y_new = y + delta[n : 2 * n]
         k1_new = k1 + delta[2 * n]
         k2_new = k2 + delta[2 * n + 1]
-        r_new = residual(x_new, y_new, k1_new, k2_new)
+        gx_new = gradient_of(field, x_new)
+        gy_new = gradient_of(field, y_new)
+        r_new = residual(x_new, y_new, k1_new, k2_new, gx_new, gy_new)
         if float(np.linalg.norm(r_new)) >= nr:
             break
-        x, y, k1, k2, r = x_new, y_new, k1_new, k2_new, r_new
+        x, y, k1, k2, r, gx, gy = x_new, y_new, k1_new, k2_new, r_new, gx_new, gy_new
     if k1 < -1e-10 or k2 < -1e-10:
         return None
     if not (region.contains(x) and region.contains(y)):

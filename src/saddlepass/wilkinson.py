@@ -15,6 +15,11 @@ over a segment with locally quadratic convergence.
 The eigenvalue pair whose components touch first is guessed by minimizing
 sigma over the edges of the Voronoi diagram of the spectrum; the guess can
 fail, so an exhaustive mode reruns the local solver over eigenvalue pairs.
+Only the smallest edge minimum matters, so the edges are searched by branch
+and bound.  sigma_min(A - z I) is 1-Lipschitz in z (Weyl's inequality), so a
+few samples bound an edge from below; an edge whose bound clears the best
+level so far, or whose single crossing test finds no sub-level piece, is
+skipped without minimizing over it.  Ties go to the first edge in scan order.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ from .local_solver import LocalIterate, LocalOptions, run_local
 _LEVEL_INFLATION = 2e-8
 
 _MAX_SWEEPS = 60
+
+#: Equally spaced samples per Voronoi edge, endpoints included, that order the
+#: edges and give each one a Lipschitz lower bound.
+_EDGE_SAMPLES = 8
 
 #: Fraction of the inter-eigenvalue distance by which the endpoints are pulled
 #: inside; exact eigenvalues give sigma = 0 where level components degenerate
@@ -326,11 +335,40 @@ def voronoi_edges(spectrum, bbox: Box) -> list[VoronoiEdge]:
     return edges
 
 
+def _dips_below(a, edge: VoronoiEdge, level: float, sample_min: float) -> bool:
+    """Can sigma drop below ``level`` on the edge?  At most one crossing test.
+
+    A sample below the level, or a level Byers cannot test (not positive),
+    answers yes; the Lipschitz bound ``sample_min - h/2`` at or above the
+    level answers no.  Otherwise the level's
+    Byers crossings cut the edge into pieces on which sigma stays on one side
+    of the level, and a midpoint decides.
+    """
+    if level <= 0.0 or sample_min < level:
+        return True
+    if sample_min - 0.5 * abs(edge.end - edge.start) / (_EDGE_SAMPLES - 1) >= level:
+        return False
+    frame = rotate_to_vertical(a, edge.start, edge.end)
+    return any(_sigma_on_frame(frame, 0.5 * (lo + hi)) < level
+               for lo, hi in _level_intervals(frame, level, frame.length))
+
+
 def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     """Guess the first-coalescing eigenvalue pair by minimizing over Voronoi edges.
 
     Returns the generating pair of the globally minimizing edge, the argmin as
     a seed point, and the minimal sigma value found on the diagram.
+
+    Each edge is sampled at ``_EDGE_SAMPLES`` equally spaced points h apart;
+    since sigma is 1-Lipschitz, ``min(samples) - h/2`` bounds sigma on the
+    whole edge from below.  Edges are visited by ascending sample minimum and
+    the first is minimized outright.  A later edge is tested at the level
+    ``best * (1 + _LEVEL_INFLATION)``: it is skipped when its bound reaches
+    the level, or when no piece between its Byers crossings of the level has
+    a midpoint below it; otherwise it is minimized too.  The smallest value
+    wins, and an exact tie goes to the edge that comes first in
+    :func:`voronoi_edges` order, so the result is that of minimizing over
+    every edge in turn.
     """
     pm = prepare(a)
     eigs = pm.eigs
@@ -339,14 +377,27 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
         for j in range(i + 1, len(eigs)):
             if abs(eigs[i] - eigs[j]) <= gap_tol:
                 raise DegenerateSpectrumError(complex(eigs[i]))
-    best = None
-    for e in voronoi_edges(eigs, pm.region):
-        z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
-        if best is None or v < best[2]:
-            best = (e.pair, z, float(v))
-    if best is None:
+    edges = voronoi_edges(eigs, pm.region)
+    if not edges:
         raise RuntimeError("no Voronoi edges inside the bounding box")
-    return best
+    # One stack of samples per edge: stacking every edge at once costs memory.
+    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
+    sample_min = [
+        float(_sigma_batch(pm.matrix, e.start + t * (e.end - e.start), _EDGE_SAMPLES).min())
+        for e in edges
+    ]
+    best = None  # (v, edge index, z)
+    for k in sorted(range(len(edges)), key=sample_min.__getitem__):
+        e = edges[k]
+        if best is not None and not _dips_below(
+            pm.matrix, e, best[0] * (1.0 + _LEVEL_INFLATION), sample_min[k]
+        ):
+            continue
+        z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
+        if best is None or (float(v), k) < best[:2]:
+            best = (float(v), k, z)
+    v, k, z = best
+    return edges[k].pair, z, v
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize as sp_minimize
 
 from saddlepass import (
     Ball,
@@ -16,7 +17,10 @@ from saddlepass import (
     run_local,
     segment_max,
 )
+from saddlepass import local_solver
+from saddlepass.diagnostics import fd_jacobian
 from saddlepass.errors import PreconditionError
+from saddlepass.local_solver import _pair_kkt_polish, minimize_on_hyperplane
 
 from conftest import perturbed_quadratic
 from oracles import golden_minimize, scan_first_crossing
@@ -191,6 +195,50 @@ def test_refine_never_lengthens_the_pair():
         x, y = refine_closest_pair(f, reg, x0, y0, level)
         assert np.linalg.norm(x - y) <= np.linalg.norm(x0 - y0) + 1e-12
         assert f.value(x) <= level + 1e-9 and f.value(y) <= level + 1e-9
+
+
+def test_pair_kkt_polish_evaluates_each_gradient_once_per_step():
+    # Each Newton step of the closest-pair polish takes 2n gradients per
+    # finite-difference Hessian and one gradient at each new point; the
+    # gradients at the current pair come from the residual, not a recount.
+    field = get_problem("quadratic-saddle").field
+    n = field.dimension
+    counts = []
+    for steps in (0, 1):
+        before = field.grad_count
+        _pair_kkt_polish(field, QS.region, np.array([0.05, -0.2]), np.array([-0.05, 0.2]),
+                         -0.04, steps=steps)
+        counts.append(field.grad_count - before)
+    assert counts[0] == 2
+    assert counts[1] - counts[0] == 4 * n + 2
+
+
+def test_hyperplane_newton_polish_evaluates_the_field_once_per_step(monkeypatch):
+    # After the quasi-Newton descent, each polish step evaluates the field at
+    # its trial point; the value at the current point is kept, not recomputed.
+    f0 = make_quadratic_field([2.0, 3.0, -1.0])
+    field = ScalarField(
+        3, lambda x: f0.value(x) + 0.1 * x[0] ** 3 + 0.05 * x[1] ** 4,
+        lambda x: f0.grad(x) + np.array([0.3 * x[0] ** 2, 0.2 * x[1] ** 3, 0.0]),
+    )
+    marks = {}
+
+    def descent(*args, **kwargs):
+        res = sp_minimize(*args, **kwargs)
+        marks["after_descent"] = field.eval_count
+        return res
+
+    def jacobian(fn, w):
+        marks["steps"] = marks.get("steps", 0) + 1
+        return fd_jacobian(fn, w)
+
+    monkeypatch.setattr(local_solver, "sp_minimize", descent)
+    monkeypatch.setattr(local_solver, "fd_jacobian", jacobian)
+    minimize_on_hyperplane(field, Ball((0, 0, 0), 4.0), np.array([0.3, 0.2, 0.5]),
+                           np.array([0.2, 0.1, 1.0]))
+    polish_evals = field.eval_count - marks["after_descent"] - 1  # minus the returned value
+    assert marks["steps"] >= 1
+    assert 1 <= polish_evals <= marks["steps"] + 1
 
 
 # --------------------------------------------------------------- run_local

@@ -202,6 +202,29 @@ def test_cli_non_finite_matrix_is_input_error(tmp_path, capsys, command, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-local", "--problem", "quadratic-saddle", "--tol-gap", "-1"],
+         "gap_tol must be positive"),
+        (["wilkinson", "--tol-point", "0"], "point_tol must be positive"),
+        (["solve-bisect", "--problem", "quadratic-saddle", "--max-iter", "0"],
+         "max_iter must be at least 1"),
+    ],
+    ids=["solve-local-tol-gap", "wilkinson-tol-point", "solve-bisect-max-iter"],
+)
+def test_cli_bad_option_value_is_input_error(tmp_path, capsys, matrix_file, argv, message):
+    # An option the solver options reject is an input error (1) reported as
+    # "error: ...", not a ValueError traceback.
+    if argv[0] == "wilkinson":
+        argv = [*argv, "--matrix", str(matrix_file)]
+    out = tmp_path / "never.out"
+    rc = run_cli([*argv, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_psgrid(tmp_path):
     path = tmp_path / "zero.txt"
     matrixio.write_matrix(path, np.zeros((1, 1), dtype=complex))

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from saddlepass import (
 )
 from saddlepass.errors import DegenerateSpectrumError
 
-from conftest import BIDIAG_5X5_EPS
+from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5, bidiagonal_10x10
 from oracles import golden_minimize
 
 
@@ -142,6 +143,63 @@ def test_voronoi_heuristic_nearest_gap_on_normal_matrix():
 def test_voronoi_heuristic_rejects_repeated_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         voronoi_heuristic(np.diag([1.0, 1.0, 3.0]).astype(complex))
+
+
+def _random_matrix(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        return rng.standard_normal((n, n))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a / np.sqrt(2 * n) if kind == "scaled" else a
+
+
+def _scan_every_edge(a):
+    """Reference heuristic: minimize on every Voronoi edge, first edge wins ties."""
+    pm = wk.prepare(a)
+    best = None
+    for e in voronoi_edges(pm.eigs, pm.region):
+        z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
+        if best is None or v < best[2]:
+            best = (e.pair, z, float(v))
+    return best
+
+
+_HEURISTIC_CASES = (
+    [("bidiag5", bidiagonal_5x5), ("bidiag10", bidiagonal_10x10)]
+    # Real matrices have conjugate spectra, so mirror-image edges tie exactly.
+    + [(f"real{n}", partial(_random_matrix, "real", n, 40 + n)) for n in (4, 7, 10, 13, 16)]
+    + [(f"unscaled{n}", partial(_random_matrix, "unscaled", n, 60 + n)) for n in (5, 9, 12)]
+    + [(f"scaled{n}", partial(_random_matrix, "scaled", n, 80 + n)) for n in range(3, 21)]
+)
+
+
+@pytest.mark.parametrize("make", [c[1] for c in _HEURISTIC_CASES],
+                         ids=[c[0] for c in _HEURISTIC_CASES])
+def test_voronoi_heuristic_matches_a_scan_of_every_edge(make):
+    # Pruning edges by level skips work, never the answer: pair, point and
+    # value are bit-identical to minimizing over every edge in turn.
+    a = make()
+    assert voronoi_heuristic(a) == _scan_every_edge(a)
+
+
+def test_voronoi_heuristic_prunes_most_byers_eigensolves(monkeypatch):
+    # Minimizing on every edge costs about 3.6 crossing tests per edge; the
+    # lower bounds and single crossing tests leave fewer than one per two
+    # edges (0.33 to 0.55 per edge on single n = 20 matrices, seeds 0-11).
+    calls = Counter()
+    crossings = wk.byers_vertical_crossings
+
+    def counted(*args, **kwargs):
+        calls["byers"] += 1
+        return crossings(*args, **kwargs)
+
+    monkeypatch.setattr(wk, "byers_vertical_crossings", counted)
+    edges = 0
+    for seed in range(4):
+        pm = wk.prepare(_random_matrix("scaled", 20, seed))
+        voronoi_heuristic(pm)
+        edges += len(voronoi_edges(pm.eigs, pm.region))
+    assert 0 < calls["byers"] < edges / 2
 
 
 # ----------------------------------------------------------- local pipeline
