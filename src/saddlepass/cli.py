@@ -1,10 +1,20 @@
 """Command-line front end.
 
 Subcommands: solve-local, solve-bisect, wilkinson, psgrid, list-problems.
-Exit codes: 0 converged/success, 1 input error, 2 not converged, 3 internal
-numerical failure.  Output is fully deterministic for a fixed input; numbers
-are serialized with 17 significant digits, and the output file is written only
-after the run completes (no partial files on failure).
+Exit codes, all set in ``main``:
+
+- 0: success, or the solver converged;
+- 1: input error, printed as ``error: ...``: a usage error (in argparse's
+  wording), a missing, unreadable or malformed file, an unknown problem, an
+  option value the solver rejects, an input it cannot take (a 1x1 matrix, a
+  problem of the wrong dimension), or an output path that cannot be written;
+- 2: the solver ran but did not converge (its output is still written);
+- 3: a solver failed on valid input (``errors.NUMERICAL_FAILURES``), printed
+  as ``numerical failure: ...``.
+
+Output is fully deterministic for a fixed input; numbers are serialized with
+17 significant digits, and the output file is written only after the run
+completes, so a failed run leaves none.
 """
 
 from __future__ import annotations
@@ -18,12 +28,7 @@ import numpy as np
 
 from . import matrixio
 from .bisection import BisectionOptions, bisect
-from .errors import (
-    BoundaryHitError,
-    PreconditionError,
-    ResolutionLimitError,
-    UnsupportedDimensionError,
-)
+from .errors import NUMERICAL_FAILURES
 from .fields import builtin_problems, get_problem
 from .local_solver import LocalOptions, run_local
 from .wilkinson import (
@@ -84,30 +89,17 @@ def _records_json_obj(records) -> list[dict]:
 
 
 def cmd_solve_local(args) -> int:
-    try:
-        opts = _local_options(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    opts = _local_options(args)
     if args.problem:
-        try:
-            prob = get_problem(args.problem)
-        except KeyError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INPUT
+        prob = get_problem(args.problem)
         a, b = prob.endpoints
         run = run_local(prob.field, prob.region, a, b, opts=opts)
         records = run.records
         converged = run.converged
         source = {"problem": prob.name}
     else:
-        try:
-            matrix = matrixio.read_matrix(args.matrix)
-        except (OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INPUT
-        wopts = WilkinsonOptions(local=opts)
-        result = wilkinson_distance(matrix, wopts)
+        matrix = matrixio.read_matrix(args.matrix)
+        result = wilkinson_distance(matrix, WilkinsonOptions(local=opts))
         records = result.records
         converged = result.converged
         source = {"matrix": str(args.matrix)}
@@ -125,25 +117,12 @@ def cmd_solve_local(args) -> int:
 
 def cmd_solve_bisect(args) -> int:
     if not args.problem:
-        print("error: solve-bisect requires --problem", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        prob = get_problem(args.problem)
-    except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        opts = BisectionOptions(
-            value_tol=args.tol_gap, point_tol=args.tol_point, max_iter=args.max_iter
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        state = bisect(prob, opts=opts)
-    except ResolutionLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ValueError("solve-bisect requires --problem")
+    prob = get_problem(args.problem)
+    opts = BisectionOptions(
+        value_tol=args.tol_gap, point_tol=args.tol_point, max_iter=args.max_iter
+    )
+    state = bisect(prob, opts=opts)
 
     rows = []
     for i, (lo, up, x, y) in enumerate(state.history, start=1):
@@ -167,19 +146,10 @@ def cmd_solve_bisect(args) -> int:
 
 
 def cmd_wilkinson(args) -> int:
-    try:
-        matrix = matrixio.read_matrix(args.matrix)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    matrix = matrixio.read_matrix(args.matrix)
     if args.format == "csv":
-        print("error: wilkinson emits JSON; use --format json", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        opts = WilkinsonOptions(local=_local_options(args), exhaustive=args.exhaustive)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("wilkinson emits JSON; use --format json")
+    opts = WilkinsonOptions(local=_local_options(args), exhaustive=args.exhaustive)
     result = wilkinson_distance(matrix, opts)
 
     obj = {
@@ -216,18 +186,10 @@ def cmd_wilkinson(args) -> int:
 
 
 def cmd_psgrid(args) -> int:
-    try:
-        matrix = matrixio.read_matrix(args.matrix)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    matrix = matrixio.read_matrix(args.matrix)
     nx, ny = args.grid
     box = tuple(args.box) if args.box else default_psgrid_box(matrix)
-    try:
-        grid = pseudospectrum_grid(matrix, box, nx, ny)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    grid = pseudospectrum_grid(matrix, box, nx, ny)
     lines = ["x,y,sigma"]
     for iy in range(grid.ys.size):
         for ix in range(grid.xs.size):
@@ -245,8 +207,17 @@ def cmd_list_problems(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT; argparse's own code 2 means "not
+    converged" here.  Subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="saddlepass",
         description="Saddle points of mountain-pass type and Wilkinson distances.",
     )
@@ -296,17 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only place an exception becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedDimensionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PreconditionError, BoundaryHitError, ResolutionLimitError,
-            np.linalg.LinAlgError) as err:
+    except NUMERICAL_FAILURES as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (OSError, KeyError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

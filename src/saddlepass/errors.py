@@ -41,3 +41,13 @@ class DegenerateSpectrumError(ValueError):
     def __init__(self, eigenvalue: complex, message: str | None = None):
         super().__init__(message or f"repeated eigenvalue near {eigenvalue}")
         self.eigenvalue = eigenvalue
+
+
+#: Failures of a solver on valid input.  The CLI reports them as numerical
+#: failures (exit 3), and the exhaustive pair scan records them per pair.
+NUMERICAL_FAILURES = (
+    PreconditionError,
+    BoundaryHitError,
+    ResolutionLimitError,
+    np.linalg.LinAlgError,
+)

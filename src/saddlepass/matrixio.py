@@ -1,7 +1,8 @@
 """Matrix file formats and CSV serialization for the CLI.
 
-Text form: first line holds n, then n rows.  A row is either n complex tokens
-like ``0.461+0.65j`` or 2n whitespace-separated floats taken as re/im pairs.
+Text form: first line holds n, then exactly n rows.  A row is either n complex
+tokens like ``0.461+0.65j`` or 2n whitespace-separated floats taken as re/im
+pairs.
 JSON form: ``{"n": ..., "re": [[...]], "im": [[...]]}``.  Entries must be finite.
 """
 
@@ -34,7 +35,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
     rows = lines[1:]
-    if len(rows) < n:
+    if len(rows) != n:
         raise ValueError(f"expected {n} rows, found {len(rows)}")
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -65,9 +66,14 @@ def _parse_matrix_json(text: str) -> np.ndarray:
     for key in ("n", "re", "im"):
         if key not in obj:
             raise ValueError(f"JSON matrix file missing key {key!r}")
-    n = int(obj["n"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    n = obj["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"JSON matrix size must be a positive integer, got {n!r}")
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except TypeError as err:
+        raise ValueError(f"JSON matrix parts must be arrays of numbers: {err}") from err
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"JSON matrix parts must be {n}x{n}, got {re.shape} and {im.shape}")
     return re + 1j * im

@@ -31,12 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BoundaryHitError,
-    DegenerateSpectrumError,
-    PreconditionError,
-    ResolutionLimitError,
-)
+from .errors import NUMERICAL_FAILURES, DegenerateSpectrumError, PreconditionError
 from .fields import Box
 from .linalg import (
     SegmentFrame,
@@ -510,8 +505,10 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     Runs the Voronoi heuristic to pick an eigenvalue pair, then the local
     solver on that pair.  With ``opts.exhaustive`` every eigenvalue pair is
     tried and the smallest converged estimate is returned, covering the known
-    failure mode of the heuristic.  The result is a local estimate, not a
-    certificate of the global distance.
+    failure mode of the heuristic; a pair whose solve fails is recorded in
+    ``pair_scan`` with its error.  If no pair converges, the heuristic pair's
+    result is returned, or its error raised.  The result is a local estimate,
+    not a certificate of the global distance.
     """
     pm = prepare(a)
     opts = opts or WilkinsonOptions()
@@ -520,12 +517,19 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     except DegenerateSpectrumError as err:
         return _degenerate_result(pm.matrix, err.eigenvalue)
 
-    result = wilkinson_local(pm, pair[0], pair[1], opts)
-    result.heuristic_pair = pair
-    result.heuristic_epsilon = result.epsilon_bar_estimate
-
     if not opts.exhaustive:
+        result = wilkinson_local(pm, pair[0], pair[1], opts)
+        result.heuristic_pair = pair
+        result.heuristic_epsilon = result.epsilon_bar_estimate
         return result
+
+    def attempt(li, lj, local_opts):
+        try:
+            return wilkinson_local(pm, li, lj, local_opts)
+        except (*NUMERICAL_FAILURES, ValueError) as err:
+            return err
+
+    heuristic = attempt(pair[0], pair[1], opts)
 
     eigs = pm.eigs
     pairs = [
@@ -537,25 +541,30 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
 
     scan_opts = replace(opts, local=replace(opts.local, max_iter=_EXHAUSTIVE_MAX_ITER))
     scan: list[dict] = []
-    best = result
+    converged: list[WilkinsonResult] = []
     for _, i, j in pairs:
         li, lj = complex(eigs[i]), complex(eigs[j])
-        if (li, lj) == result.heuristic_pair or (lj, li) == result.heuristic_pair:
-            entry = result
+        if (li, lj) == pair or (lj, li) == pair:
+            entry = heuristic
         else:
-            try:
-                entry = wilkinson_local(pm, li, lj, scan_opts)
-            except (BoundaryHitError, PreconditionError, ResolutionLimitError,
-                    ValueError, np.linalg.LinAlgError) as err:
-                scan.append({"pair": (li, lj), "epsilon": None, "converged": False,
-                             "error": str(err)})
-                continue
+            entry = attempt(li, lj, scan_opts)
+        if isinstance(entry, Exception):
+            scan.append({"pair": (li, lj), "epsilon": None, "converged": False,
+                         "error": str(entry)})
+            continue
         scan.append({"pair": (li, lj), "epsilon": entry.epsilon_bar_estimate,
                      "converged": entry.converged, "error": None})
-        if entry.converged and entry.epsilon_bar_estimate < best.epsilon_bar_estimate:
-            best = entry
-    best.heuristic_pair = result.heuristic_pair
-    best.heuristic_epsilon = result.heuristic_epsilon
+        if entry.converged:
+            converged.append(entry)
+    if not converged and isinstance(heuristic, Exception):
+        raise heuristic
+    # Smallest epsilon; ties go to the heuristic pair, then to scan order.
+    best = min(converged, key=lambda r: (r.epsilon_bar_estimate, r is not heuristic),
+               default=heuristic)
+    best.heuristic_pair = pair
+    best.heuristic_epsilon = (
+        None if isinstance(heuristic, Exception) else heuristic.epsilon_bar_estimate
+    )
     best.pair_scan = scan
     return best
 

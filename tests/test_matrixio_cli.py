@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from saddlepass import cli, matrixio
-from saddlepass.errors import PreconditionError
+from saddlepass.errors import BoundaryHitError, PreconditionError, ResolutionLimitError
 
 from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5
 
@@ -47,6 +47,11 @@ def test_json_matrix_form(tmp_path):
         '{"n": 2, "re": [[1]]}', # missing JSON key
         "2\nnan 0\n0 1\n",       # NaN entry
         "2\n1 0 inf 0\n0 0 1 0\n", # infinite real part in a re/im pair row
+        '{"n": null, "re": [[1]], "im": [[0]]}',  # JSON size not a number
+        '{"n": [1], "re": [[1]], "im": [[0]]}',   # JSON size a list
+        '{"n": 1.7, "re": [[1]], "im": [[0]]}',   # JSON size not an integer
+        "2\n1 0\n0 2\n5 5\n",    # a row after row n
+        '{"n": 1, "re": {}, "im": [[0]]}',        # JSON part not an array
     ],
 )
 def test_malformed_matrix_files(tmp_path, text):
@@ -223,6 +228,89 @@ def test_cli_bad_option_value_is_input_error(tmp_path, capsys, matrix_file, argv
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _fail_with(err):
+    def fail(*args, **kwargs):
+        raise err
+
+    return fail
+
+
+# One row per failure class: argv ({m} is the 5x5 matrix file, {one} a 1x1
+# matrix file, {tmp} the test's directory), the cli attribute replaced by a
+# solver that raises (or None), the exit code, and the line that reports it,
+# which is the whole of stderr (argparse puts its usage line before it).
+# Cases that other tests in this file pin are not repeated here.
+EXIT_CODE_TABLE = [
+    pytest.param(["wilkinson"], None, 1,
+                 "saddlepass wilkinson: error: the following arguments are required: "
+                 "--matrix", id="usage-missing-matrix"),
+    pytest.param(["wilkinson", "--matrix", "{m}", "--format", "xml"], None, 1,
+                 "saddlepass wilkinson: error: argument --format: invalid choice: 'xml'",
+                 id="usage-bad-format"),
+    pytest.param(["bogus"], None, 1,
+                 "saddlepass: error: argument command: invalid choice: 'bogus'",
+                 id="usage-unknown-subcommand"),
+    pytest.param(["psgrid", "--matrix", "{m}", "--grid", "3"], None, 1,
+                 "saddlepass psgrid: error: argument --grid: expected 2 arguments",
+                 id="usage-grid-one-value"),
+    pytest.param(["solve-bisect", "--matrix", "{m}"], None, 1,
+                 "error: solve-bisect requires --problem", id="usage-bisect-matrix"),
+    pytest.param(["wilkinson", "--matrix", "{m}", "--format", "csv"], None, 1,
+                 "error: wilkinson emits JSON; use --format json", id="usage-wilkinson-csv"),
+    pytest.param(["wilkinson", "--help"], None, 0, "", id="help"),
+    pytest.param(["solve-bisect", "--problem", "nope"], None, 1,
+                 "error: \"unknown problem 'nope'; known: ", id="unknown-problem"),
+    pytest.param(["psgrid", "--matrix", "{tmp}/missing.txt"], None, 1,
+                 "error: [Errno 2] No such file or directory: '{tmp}/missing.txt'",
+                 id="missing-file"),
+    pytest.param(["wilkinson", "--matrix", "{one}"], None, 1,
+                 "error: need at least 2 distinct spectrum points", id="wilkinson-1x1"),
+    pytest.param(["solve-local", "--matrix", "{one}"], None, 1,
+                 "error: need at least 2 distinct spectrum points", id="solve-local-1x1"),
+    pytest.param(["solve-local", "--problem", "quadratic-saddle",
+                  "--out", "{tmp}/nodir/rows.csv"], None, 1,
+                 "error: [Errno 2] No such file or directory: '{tmp}/nodir/rows.csv'",
+                 id="out-missing-dir"),
+    pytest.param(["wilkinson", "--matrix", "{m}", "--out", "{tmp}/result.json",
+                  "--perturbation-out", "{tmp}/nodir/pert.txt"], None, 1,
+                 "error: [Errno 2] No such file or directory: '{tmp}/nodir/pert.txt'",
+                 id="perturbation-out-missing-dir"),
+    pytest.param(["solve-local", "--problem", "quadratic-saddle"],
+                 ("run_local", PreconditionError("no feasible start")), 3,
+                 "numerical failure: no feasible start", id="precondition"),
+    pytest.param(["solve-bisect", "--problem", "quadratic-saddle"],
+                 ("bisect", ResolutionLimitError("grid too coarse")), 3,
+                 "numerical failure: grid too coarse", id="resolution-limit"),
+    pytest.param(["wilkinson", "--matrix", "{m}"],
+                 ("wilkinson_distance", BoundaryHitError([0.0, 0.0])), 3,
+                 "numerical failure: minimizer reached the region boundary",
+                 id="boundary-hit"),
+    pytest.param(["psgrid", "--matrix", "{m}"],
+                 ("pseudospectrum_grid", np.linalg.LinAlgError("SVD did not converge")), 3,
+                 "numerical failure: SVD did not converge", id="linalg"),
+    pytest.param(["solve-local", "--problem", "double-well-curve", "--max-iter", "1"],
+                 None, 2, "", id="not-converged"),
+]
+
+
+@pytest.mark.parametrize("argv, patch, code, line", EXIT_CODE_TABLE)
+def test_cli_exit_code_table(tmp_path, capsys, monkeypatch, matrix_file,
+                             argv, patch, code, line):
+    one = tmp_path / "one.txt"
+    matrixio.write_matrix(one, np.array([[2.0 + 1.0j]]))
+    names = {"m": matrix_file, "one": one, "tmp": tmp_path}
+    if patch is not None:
+        monkeypatch.setattr(cli, patch[0], _fail_with(patch[1]))
+    try:
+        rc = run_cli(a.format(**names) for a in argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    lines = capsys.readouterr().err.splitlines() or [""]
+    assert lines[-1].startswith(line.format(**names))
+    assert len(lines) == 1 or lines[0].startswith("usage: saddlepass")
 
 
 def test_cli_psgrid(tmp_path):

@@ -294,6 +294,25 @@ def test_exhaustive_mode_reproduces_heuristic_failure(ex_bidiag10):
     }
 
 
+@pytest.mark.parametrize(
+    "n, seed, heuristic_raises",
+    [(6, 5, False), (8, 1, False), (8, 2, True)],
+    ids=["n6-s5-unconverged-heuristic", "n8-s1-unconverged-heuristic",
+         "n8-s2-heuristic-raises"],
+)
+def test_exhaustive_mode_returns_the_smallest_converged_pair(n, seed, heuristic_raises):
+    # Scaled complex Gaussian matrices on which the heuristic pair does not
+    # converge (or its solve raises) while other pairs do: the scan returns
+    # the best converged pair, not the heuristic's estimate.
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    res = wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
+    assert res.converged
+    converged = [e["epsilon"] for e in res.pair_scan if e["converged"]]
+    assert res.epsilon_bar_estimate == min(converged)
+    assert (res.heuristic_epsilon is None) == heuristic_raises
+
+
 def test_exhaustive_scan_prepares_the_matrix_once(monkeypatch, ex_bidiag5):
     # The heuristic, every pair's local solve and the scan share one
     # preparation: one eigensolve and one norm for the whole run.
