@@ -220,7 +220,6 @@ def build_manifest() -> dict:
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python tools/cli_manifest.py OUT.json", file=sys.stderr)
         return 1
     manifest = build_manifest()
