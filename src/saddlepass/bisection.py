@@ -5,6 +5,8 @@ sit in different path components of the sublevel set.  The solver bisects the
 level, testing connectivity with a flood fill over grid cells whose centers
 satisfy ``f <= level`` inside the region (4-connectivity), and keeps the
 closest pair between the two components as a shrinking witness of the saddle.
+The field values at the cell centers do not depend on the level, so one run
+samples the grid once; each level re-thresholds the samples and relabels.
 
 The grid test is restricted to R^2.  It approximates path connectivity at the
 grid spacing; rigorous certification is out of scope, and a component thinner
@@ -28,6 +30,11 @@ from .local_solver import polyline_max, refine_closest_pair, segment_max
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
+def _check_resolution(h) -> None:
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"resolution must be a finite positive number, got {h}")
+
+
 @dataclass
 class ComponentQuery:
     """A field, region, level and grid spacing for one connectivity question."""
@@ -38,8 +45,7 @@ class ComponentQuery:
     resolution: float
 
     def __post_init__(self):
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        _check_resolution(self.resolution)
 
 
 @dataclass
@@ -52,29 +58,26 @@ class ClosestPair:
     on_boundary: bool = False
 
 
-class _Grid:
-    """Labeled sublevel mask over the box [lo, hi] at cell size h."""
+class _Samples:
+    """Field values and region mask at the cell centers of the box [lo, hi]
+    at cell size h; nothing here depends on the level."""
 
-    def __init__(self, q: ComponentQuery, h: float, lo, hi):
+    def __init__(self, field: ScalarField, region: Region, h: float, lo, hi):
         self.origin = lo
         self.h = h
         self.nx = max(2, int(math.ceil((hi[0] - lo[0]) / h)))
         self.ny = max(2, int(math.ceil((hi[1] - lo[1]) / h)))
-        xs = lo[0] + (np.arange(self.nx) + 0.5) * h
-        ys = lo[1] + (np.arange(self.ny) + 0.5) * h
-        gx, gy = np.meshgrid(xs, ys)  # shape (ny, nx)
+        self.xs = lo[0] + (np.arange(self.nx) + 0.5) * h
+        self.ys = lo[1] + (np.arange(self.ny) + 0.5) * h
+        gx, gy = np.meshgrid(self.xs, self.ys)  # shape (ny, nx)
         pts = np.column_stack([gx.ravel(), gy.ravel()])
-        vals = q.field.value_many(pts).reshape(self.ny, self.nx)
-        if isinstance(q.region, Ball):
-            rr = (gx - q.region.center[0]) ** 2 + (gy - q.region.center[1]) ** 2
-            inside = rr <= q.region.radius**2
+        self.vals = field.value_many(pts).reshape(self.ny, self.nx)
+        if isinstance(region, Ball):
+            rr = (gx - region.center[0]) ** 2 + (gy - region.center[1]) ** 2
+            self.inside = rr <= region.radius**2
         else:
-            low, up = q.region.bounding_box()
-            inside = (gx >= low[0]) & (gx <= up[0]) & (gy >= low[1]) & (gy <= up[1])
-        self.mask = (vals <= q.level) & inside
-        self.labels, self.nlabels = ndimage.label(self.mask, structure=_CROSS)
-        self.xs = xs
-        self.ys = ys
+            low, up = region.bounding_box()
+            self.inside = (gx >= low[0]) & (gx <= up[0]) & (gy >= low[1]) & (gy <= up[1])
 
     def cell_of(self, p) -> tuple[int, int]:
         ix = int(np.clip((p[0] - self.origin[0]) / self.h, 0, self.nx - 1))
@@ -84,19 +87,34 @@ class _Grid:
     def center(self, iy: int, ix: int) -> np.ndarray:
         return np.array([self.xs[ix], self.ys[iy]])
 
+
+def _region_samples(q: ComponentQuery) -> _Samples:
+    """Samples of the query's field over its region's bounding box."""
+    return _Samples(q.field, q.region, q.resolution, *q.region.bounding_box())
+
+
+class _Grid:
+    """Labeled sublevel mask of the samples at one level."""
+
+    def __init__(self, samples: _Samples, level: float):
+        self.samples = samples
+        self.mask = (samples.vals <= level) & samples.inside
+        self.labels, self.nlabels = ndimage.label(self.mask, structure=_CROSS)
+
     def seed_label(self, p) -> int:
         """Label of the component holding point p, snapping to the nearest
         in-set cell in a 5x5 neighborhood when p's own cell center fails the
         level test (the cell still contains sublevel points by precondition)."""
-        iy, ix = self.cell_of(p)
+        s = self.samples
+        iy, ix = s.cell_of(p)
         if self.labels[iy, ix] > 0:
             return int(self.labels[iy, ix])
         best = None
         for dy in range(-2, 3):
             for dx in range(-2, 3):
                 jy, jx = iy + dy, ix + dx
-                if 0 <= jy < self.ny and 0 <= jx < self.nx and self.labels[jy, jx] > 0:
-                    d = float(np.linalg.norm(self.center(jy, jx) - np.asarray(p, dtype=float)))
+                if 0 <= jy < s.ny and 0 <= jx < s.nx and self.labels[jy, jx] > 0:
+                    d = float(np.linalg.norm(s.center(jy, jx) - np.asarray(p, dtype=float)))
                     key = (d, jy, jx)
                     if best is None or key < best[0]:
                         best = (key, int(self.labels[jy, jx]))
@@ -112,7 +130,7 @@ class _Grid:
         if not boundary.any():
             boundary = comp
         iy, ix = np.nonzero(boundary)
-        return np.column_stack([self.xs[ix], self.ys[iy]])
+        return np.column_stack([self.samples.xs[ix], self.samples.ys[iy]])
 
 
 def _validate_query_point(q: ComponentQuery, p, name: str) -> np.ndarray:
@@ -148,13 +166,15 @@ def _refine_window(q: ComponentQuery, grid: _Grid, la: int, lb: int, pa, pb):
     center = 0.5 * (np.asarray(pa) + np.asarray(pb))
     half = 8.0 * q.resolution
     blo, bhi = q.region.bounding_box()
-    fine = _Grid(q, q.resolution / 4.0, np.maximum(center - half, blo),
-                 np.minimum(center + half, bhi))
-    gx, gy = np.meshgrid(fine.xs, fine.ys)
+    fine = _Grid(_Samples(q.field, q.region, q.resolution / 4.0,
+                          np.maximum(center - half, blo), np.minimum(center + half, bhi)),
+                 q.level)
+    gx, gy = np.meshgrid(fine.samples.xs, fine.samples.ys)
 
     # Coarse label carried by each refined cell.
-    cix = np.clip(((gx - grid.origin[0]) / grid.h).astype(int), 0, grid.nx - 1)
-    ciy = np.clip(((gy - grid.origin[1]) / grid.h).astype(int), 0, grid.ny - 1)
+    c = grid.samples
+    cix = np.clip(((gx - c.origin[0]) / c.h).astype(int), 0, c.nx - 1)
+    ciy = np.clip(((gy - c.origin[1]) / c.h).astype(int), 0, c.ny - 1)
     tags = grid.labels[ciy, cix]
 
     for lab in range(1, fine.nlabels + 1):
@@ -171,10 +191,10 @@ def _refine_window(q: ComponentQuery, grid: _Grid, la: int, lb: int, pa, pb):
     return False, _closest_points(ia, ib)[:2]
 
 
-def _analyze(q: ComponentQuery, a, b):
+def _analyze(q: ComponentQuery, a, b, samples: _Samples):
     """Labels plus seeds, with one adaptive windowed refinement at h/4 when
     the two components come within 4 cells of each other."""
-    grid = _Grid(q, q.resolution, *q.region.bounding_box())
+    grid = _Grid(samples, q.level)
     la = grid.seed_label(a)
     lb = grid.seed_label(b)
     if la == lb:
@@ -198,15 +218,20 @@ def same_component(q: ComponentQuery, a, b) -> bool:
         )
     a = _validate_query_point(q, a, "a")
     b = _validate_query_point(q, b, "b")
-    _, la, lb, _ = _analyze(q, a, b)
+    _, la, lb, _ = _analyze(q, a, b, _region_samples(q))
     return la == lb
 
 
-def component_distance(q: ComponentQuery, a, b) -> Optional[ClosestPair]:
+def component_distance(
+    q: ComponentQuery, a, b, *, samples: Optional[_Samples] = None
+) -> Optional[ClosestPair]:
     """Closest pair between the components of a and b, or None when connected.
 
     Seeds from the closest grid-cell pair, then polishes with the alternating
-    hyperplane/segment heuristic until the pair stops moving.
+    hyperplane/segment heuristic until the pair stops moving.  ``samples``
+    are the grid samples of an earlier query with the same field, region and
+    resolution (``bisect`` passes its own); by default the query samples its
+    region itself.
     """
     if q.field.dimension != 2:
         raise UnsupportedDimensionError(
@@ -214,7 +239,7 @@ def component_distance(q: ComponentQuery, a, b) -> Optional[ClosestPair]:
         )
     a = _validate_query_point(q, a, "a")
     b = _validate_query_point(q, b, "b")
-    grid, la, lb, seed_pair = _analyze(q, a, b)
+    grid, la, lb, seed_pair = _analyze(q, a, b, samples or _region_samples(q))
     if la == lb:
         return None
     if seed_pair is None:
@@ -241,6 +266,8 @@ class BisectionOptions:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.resolution is not None:
+            _check_resolution(self.resolution)
 
 
 @dataclass
@@ -308,6 +335,7 @@ def bisect(
     history: list = []
     widths = [width]
     pairs = [(a.copy(), b.copy())]
+    samples = None  # the grid samples, taken at the first level and reused
     iterations = 0
     converged = False
     reason = "max_iter"
@@ -323,8 +351,10 @@ def bisect(
             break
         mid = 0.5 * (lower + upper)
         q = ComponentQuery(field, problem.region, mid, h)
+        if samples is None:
+            samples = _region_samples(q)
         try:
-            res = component_distance(q, x, y)
+            res = component_distance(q, x, y, samples=samples)
         except ResolutionLimitError as err:
             state = BisectionState(
                 lower=lower, upper=upper, pair=(x, y), level_of_pair=level_of_pair,

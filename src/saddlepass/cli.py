@@ -179,9 +179,16 @@ def cmd_wilkinson(args) -> int:
             for e in result.pair_scan
         ]
     text = json.dumps(obj, indent=2) + "\n"
-    _emit(text, args.out)
-    if args.perturbation_out and result.perturbation is not None:
-        matrixio.write_matrix(args.perturbation_out, result.perturbation)
+    pert_path = args.perturbation_out if result.perturbation is not None else None
+    if pert_path:
+        matrixio.write_matrix(pert_path, result.perturbation)
+    try:
+        _emit(text, args.out)
+    except OSError:
+        # A failed run leaves no file behind.
+        if pert_path:
+            Path(pert_path).unlink()
+        raise
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 

@@ -219,7 +219,7 @@ def _local_line_minimize(field, origin, direction, tlo, thi, scale):
         a = max(tlo, -w)
         b = min(thi, w)
         ts = np.linspace(a, b, 33)
-        vs = np.array([phi(t) for t in ts])
+        vs = field.value_many(origin + ts[:, None] * direction)
         j = int(np.argmin(vs))
         interior = 0 < j < len(ts) - 1
         if interior or (a <= tlo + 1e-300 and b >= thi - 1e-300) or (a == tlo and b == thi):

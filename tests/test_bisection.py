@@ -2,23 +2,28 @@ import numpy as np
 import pytest
 
 from saddlepass import (
+    Ball,
     BisectionOptions,
     Box,
     ComponentQuery,
     ScalarField,
+    SigmaMinField,
     TestProblem,
     assemble_path,
     bisect,
     component_distance,
     get_problem,
     same_component,
+    voronoi_heuristic,
 )
+from saddlepass import bisection
 from saddlepass.errors import (
     PreconditionError,
     ResolutionLimitError,
     UnsupportedDimensionError,
 )
 
+from conftest import bidiagonal_5x5
 from oracles import label_mask_components
 
 QS = get_problem("quadratic-saddle")
@@ -240,3 +245,81 @@ def test_bisect_resolution_limit_carries_state():
                opts=BisectionOptions(value_tol=1e-9, max_iter=5))
     assert info.value.state is not None
     assert info.value.state.lower == 0.0
+
+
+@pytest.mark.parametrize("resolution", [-1.0, 0.0, float("nan"), float("inf")])
+def test_bad_resolution_is_rejected_up_front(resolution):
+    # Rejected when the options are built, not inside the bisection loop
+    # after the initial segment maximization.
+    with pytest.raises(ValueError, match="resolution"):
+        BisectionOptions(resolution=resolution)
+    with pytest.raises(ValueError, match="resolution"):
+        ComponentQuery(QS.field, BOX, 0.0, resolution)
+
+
+# ------------------------------------------------------- sample reuse
+
+def _sigma_min_5x5_problem() -> TestProblem:
+    """The sigma_min field between the heuristic eigenvalue pair of the 5x5
+    bidiagonal matrix, endpoints pulled in by 2%, in Ball(midpoint, 0.6 d)."""
+    a = bidiagonal_5x5()
+    (l1, l2), _, _ = voronoi_heuristic(a)
+    d = l2 - l1
+    mid = 0.5 * (l1 + l2)
+    x0, y0 = l1 + 0.02 * d, l2 - 0.02 * d
+    return TestProblem(
+        name="sigma-min-5x5",
+        field=SigmaMinField(a).as_scalar_field(),
+        region=Ball((mid.real, mid.imag), 0.6 * abs(d)),
+        endpoints=(np.array([x0.real, x0.imag]), np.array([y0.real, y0.imag])),
+    )
+
+
+def test_bisect_samples_the_coarse_grid_once_per_run(monkeypatch):
+    prob = get_problem("quadratic-saddle")
+    sizes = []
+    value_many = prob.field.value_many
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return value_many(pts)
+
+    monkeypatch.setattr(prob.field, "value_many", counted)
+    n = 512 * 512  # the region's 8 x 8 bounding box at spacing diameter / 512
+    state = bisect(prob)
+    assert state.iterations == 20
+    assert sizes.count(n) == 1
+    bisect(prob)
+    assert sizes.count(n) == 2
+
+
+@pytest.mark.parametrize("case", ["quadratic-saddle", "sigma-min-5x5"])
+def test_reused_samples_give_the_standalone_pair_bit_for_bit(monkeypatch, case):
+    if case == "sigma-min-5x5":
+        prob = _sigma_min_5x5_problem()
+        opts = BisectionOptions(resolution=prob.region.diameter() / 128)
+    else:
+        prob = get_problem(case)
+        opts = BisectionOptions()
+    calls = []
+    original = bisection.component_distance
+
+    def recorded(q, a, b, **kwargs):
+        res = original(q, a, b, **kwargs)
+        calls.append((q, a.copy(), b.copy(), res))
+        return res
+
+    monkeypatch.setattr(bisection, "component_distance", recorded)
+    state = bisect(prob, opts=opts)
+    assert len(calls) == state.iterations
+    separated = [c for c in calls if c[3] is not None]
+    assert len(separated) >= 5
+    for q, a, b, res in calls:
+        alone = original(q, a, b)
+        if res is None:
+            assert alone is None
+            continue
+        assert alone.x.tobytes() == res.x.tobytes()
+        assert alone.y.tobytes() == res.y.tobytes()
+        assert alone.dist == res.dist
+        assert alone.on_boundary == res.on_boundary

@@ -149,3 +149,23 @@ def test_sigma_field_nonnegative_and_gradient(ex_bidiag5):
         an = field.grad(x)
         fd = fd_gradient(field, x)
         assert np.linalg.norm(fd - an) <= 1e-5 * (1.0 + np.linalg.norm(an))
+
+
+@pytest.mark.parametrize("case", ["paper5", "paper10", "random28"])
+def test_sigma_field_batch_equals_single_bit_for_bit(case, ex_bidiag5, ex_bidiag10):
+    # Batched scans (grid samples, line windows) must reproduce the single
+    # evaluations exactly, so that batching changes no solver output.
+    if case == "random28":
+        rng = np.random.default_rng(28)
+        a = (rng.standard_normal((28, 28)) + 1j * rng.standard_normal((28, 28))) / np.sqrt(56)
+    else:
+        a = ex_bidiag5 if case == "paper5" else ex_bidiag10
+    field = SigmaMinField(a).as_scalar_field()
+    lam = eigenvalues(a)
+    rng = np.random.default_rng(7)
+    pts = np.column_stack([
+        rng.uniform(lam.real.min() - 0.2, lam.real.max() + 0.2, 300),
+        rng.uniform(lam.imag.min() - 0.2, lam.imag.max() + 0.2, 300),
+    ])
+    singles = np.array([field.value(p) for p in pts])
+    assert np.array_equal(field.value_many(pts), singles)

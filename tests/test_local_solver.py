@@ -6,6 +6,7 @@ from saddlepass import (
     Ball,
     LocalOptions,
     ScalarField,
+    SigmaMinField,
     advance_along_segment,
     assemble_local_path,
     bisector_minimize,
@@ -352,3 +353,30 @@ def test_run_local_propagates_boundary_hit():
     with pytest.raises(BoundaryHitError) as info:
         run_local(f, Ball((0, 0), 1.5), [0.0, -1.0], [0.0, 1.0])
     assert abs(np.linalg.norm(info.value.point) - 1.5) <= 1e-9
+
+
+def test_line_minimize_scans_each_window_in_one_batch(monkeypatch, ex_bidiag5):
+    # Each 33-point window of the closest-pair line search is one batched
+    # evaluation (stacked SVDs on a sigma_min field), not 33 single ones.
+    field = SigmaMinField(ex_bidiag5).as_scalar_field()
+    sizes, singles = [], []
+    value, value_many = field.value, field.value_many
+
+    def counted_value(x):
+        singles.append(x)
+        return value(x)
+
+    def counted_value_many(pts):
+        sizes.append(len(pts))
+        return value_many(pts)
+
+    monkeypatch.setattr(field, "value", counted_value)
+    monkeypatch.setattr(field, "value_many", counted_value_many)
+    # Keep only the window scans: no Brent or Newton refinement.
+    monkeypatch.setattr(local_solver, "_refine_bracket_min",
+                        lambda phi, ts, vs: (ts[np.argmin(vs)], vs.min()))
+    local_solver._local_line_minimize(field, np.array([0.45, 0.6]), np.array([1.0, 0.0]),
+                                      -0.3, 0.3, scale=1e-3)
+    assert len(sizes) >= 2
+    assert sizes == [33] * len(sizes)
+    assert singles == []

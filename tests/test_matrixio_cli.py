@@ -175,6 +175,19 @@ def test_cli_wilkinson_perturbation_file(tmp_path, matrix_file):
     assert abs(np.linalg.norm(e, 2) - eps) <= 1e-10 * (1.0 + eps)
 
 
+@pytest.mark.parametrize("missing", ["perturbation-out", "out"])
+def test_cli_failed_wilkinson_writes_no_file(tmp_path, capsys, matrix_file, missing):
+    # Either output in a missing directory fails the run (exit 1), and the
+    # other output is not left behind.
+    paths = {"out": tmp_path / "result.json", "perturbation-out": tmp_path / "pert.txt"}
+    paths[missing] = tmp_path / "nodir" / paths[missing].name
+    rc = run_cli(["wilkinson", "--matrix", str(matrix_file), "--out", str(paths["out"]),
+                  "--perturbation-out", str(paths["perturbation-out"])])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bidiag5.txt"]
+
+
 @pytest.mark.parametrize("command", ["wilkinson", "solve-local"])
 def test_cli_solver_precondition_failure_is_numerical(tmp_path, matrix_file, monkeypatch,
                                                       command):

@@ -35,6 +35,7 @@ from saddlepass.errors import BoundaryHitError, PreconditionError, ResolutionLim
 
 CATALOG = ("quadratic-saddle", "ps-fail-a", "ps-fail-b", "plateau",
            "double-well-curve", "sqrt-cusp")
+CATALOG_2D = ("quadratic-saddle", "ps-fail-a", "ps-fail-b", "double-well-curve")
 SUBCOMMANDS = ("solve-local", "solve-bisect", "wilkinson", "psgrid", "list-problems")
 
 
@@ -104,6 +105,9 @@ def _invocations(matrices) -> list[tuple[str, list[str], object]]:
             (f"solve-local-step1a-{p}", base + ["--step1a"], None),
             (f"solve-bisect-{p}", ["solve-bisect", "--problem", p, "--tol-gap", "1e-4"], None),
         ]
+    # At the default --tol-gap (1e-6) the 2-D runs go 19 to 22 levels deep.
+    rows += [(f"solve-bisect-default-{p}", ["solve-bisect", "--problem", p], None)
+             for p in CATALOG_2D]
     for name, a in matrices.items():
         m = f"{{in}}/{name}.txt"
         rows += [
