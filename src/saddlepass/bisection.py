@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, ResolutionLimitError, UnsupportedDimensionError
 from .fields import Ball, Region, ScalarField, TestProblem
-from .local_solver import polyline_max, refine_closest_pair, segment_max
+from .local_solver import pair_path, refine_closest_pair, segment_max
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -191,35 +191,39 @@ def _refine_window(q: ComponentQuery, grid: _Grid, la: int, lb: int, pa, pb):
     return False, _closest_points(ia, ib)[:2]
 
 
-def _analyze(q: ComponentQuery, a, b, samples: _Samples):
-    """Labels plus seeds, with one adaptive windowed refinement at h/4 when
-    the two components come within 4 cells of each other."""
-    grid = _Grid(samples, q.level)
-    la = grid.seed_label(a)
-    lb = grid.seed_label(b)
-    if la == lb:
-        return grid, la, lb, None
-    pa, pb, dcells = _closest_cell_pair(grid, la, lb)
-    seed_pair = (pa, pb)
-    if dcells < 4.0 * q.resolution:
-        merged, refined_pair = _refine_window(q, grid, la, lb, pa, pb)
-        if merged:
-            return grid, la, la, None
-        if refined_pair is not None:
-            seed_pair = refined_pair
-    return grid, la, lb, seed_pair
+def _analyze(q: ComponentQuery, a, b, samples: Optional[_Samples] = None):
+    """The closest grid-cell pair between the components of a and b, or None
+    when they are connected.
 
-
-def same_component(q: ComponentQuery, a, b) -> bool:
-    """Grid flood-fill connectivity of a and b in the sublevel set within the region."""
+    Checks the query (dimension 2, both points feasible) and samples the
+    region unless ``samples`` are given.  When the two components come within
+    4 cells of each other, one windowed refinement at h/4 decides whether
+    they merge and sharpens the pair.
+    """
     if q.field.dimension != 2:
         raise UnsupportedDimensionError(
             f"component tests support dimension 2 only, got {q.field.dimension}"
         )
     a = _validate_query_point(q, a, "a")
     b = _validate_query_point(q, b, "b")
-    _, la, lb, _ = _analyze(q, a, b, _region_samples(q))
-    return la == lb
+    grid = _Grid(samples or _region_samples(q), q.level)
+    la = grid.seed_label(a)
+    lb = grid.seed_label(b)
+    if la == lb:
+        return None
+    pa, pb, dcells = _closest_cell_pair(grid, la, lb)
+    if dcells < 4.0 * q.resolution:
+        merged, refined_pair = _refine_window(q, grid, la, lb, pa, pb)
+        if merged:
+            return None
+        if refined_pair is not None:
+            return refined_pair
+    return pa, pb
+
+
+def same_component(q: ComponentQuery, a, b) -> bool:
+    """Grid flood-fill connectivity of a and b in the sublevel set within the region."""
+    return _analyze(q, a, b) is None
 
 
 def component_distance(
@@ -233,17 +237,9 @@ def component_distance(
     resolution (``bisect`` passes its own); by default the query samples its
     region itself.
     """
-    if q.field.dimension != 2:
-        raise UnsupportedDimensionError(
-            f"component tests support dimension 2 only, got {q.field.dimension}"
-        )
-    a = _validate_query_point(q, a, "a")
-    b = _validate_query_point(q, b, "b")
-    grid, la, lb, seed_pair = _analyze(q, a, b, samples or _region_samples(q))
-    if la == lb:
-        return None
+    seed_pair = _analyze(q, a, b, samples)
     if seed_pair is None:
-        seed_pair = _closest_cell_pair(grid, la, lb)[:2]
+        return None
     pa, pb = seed_pair
     x, y = refine_closest_pair(q.field, q.region, pa, pb, q.level, point_tol=1e-10)
     scale = 1.0 + float(np.linalg.norm(x))
@@ -264,6 +260,8 @@ class BisectionOptions:
     def __post_init__(self):
         if not self.value_tol > 0 or not self.point_tol > 0:
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.value_tol) and math.isfinite(self.point_tol)):
+            raise ValueError("tolerances must be finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.resolution is not None:
@@ -339,6 +337,7 @@ def bisect(
     iterations = 0
     converged = False
     reason = "max_iter"
+    limit = None
 
     while iterations < opts.max_iter:
         if width <= opts.value_tol:
@@ -356,12 +355,9 @@ def bisect(
         try:
             res = component_distance(q, x, y, samples=samples)
         except ResolutionLimitError as err:
-            state = BisectionState(
-                lower=lower, upper=upper, pair=(x, y), level_of_pair=level_of_pair,
-                history=history, widths=widths, pairs=pairs, certificate_upper=cert,
-                iterations=iterations, converged=False, stop_reason="resolution_limit",
-            )
-            raise ResolutionLimitError(str(err), state=state) from err
+            limit = err
+            reason = "resolution_limit"
+            break
         if res is None:
             upper = mid
         else:
@@ -377,18 +373,18 @@ def bisect(
         history.append((lower, upper, x.copy(), y.copy()))
         iterations += 1
 
-    return BisectionState(
+    state = BisectionState(
         lower=lower, upper=upper, pair=(x, y), level_of_pair=level_of_pair,
         history=history, widths=widths, pairs=pairs, certificate_upper=cert,
         iterations=iterations, converged=converged, stop_reason=reason,
     )
+    if limit is not None:
+        raise ResolutionLimitError(str(limit), state=state) from limit
+    return state
 
 
 def assemble_path(problem: TestProblem, state: BisectionState) -> tuple[np.ndarray, float]:
     """Polyline through x0..xi, yi..y0 with the max field value along it."""
     if not state.pairs:
         raise ValueError("state has an empty pair history")
-    xs = [p[0] for p in state.pairs]
-    ys = [p[1] for p in state.pairs][::-1]
-    vertices = np.vstack(xs + ys)
-    return vertices, polyline_max(problem.field, vertices)
+    return pair_path(problem.field, state.pairs)

@@ -62,6 +62,10 @@ def _local_options(args) -> LocalOptions:
     )
 
 
+def _xy(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
 def _records_csv(records) -> str:
     lines = ["i,f_x,M,gap_ratio,dist"]
     for r in records:
@@ -154,25 +158,18 @@ def cmd_wilkinson(args) -> int:
 
     obj = {
         "epsilon_bar": result.epsilon_bar_estimate,
-        "z_star": [result.coalescence_point.real, result.coalescence_point.imag],
-        "pair": [
-            [result.chosen_pair[0].real, result.chosen_pair[0].imag],
-            [result.chosen_pair[1].real, result.chosen_pair[1].imag],
-        ],
+        "z_star": _xy(result.coalescence_point),
+        "pair": [_xy(z) for z in result.chosen_pair],
         "converged": result.converged,
         "records": _records_json_obj(result.records),
     }
     if result.heuristic_pair is not None:
-        obj["heuristic_pair"] = [
-            [result.heuristic_pair[0].real, result.heuristic_pair[0].imag],
-            [result.heuristic_pair[1].real, result.heuristic_pair[1].imag],
-        ]
+        obj["heuristic_pair"] = [_xy(z) for z in result.heuristic_pair]
         obj["heuristic_epsilon"] = result.heuristic_epsilon
     if result.pair_scan is not None:
         obj["pair_scan"] = [
             {
-                "pair": [[e["pair"][0].real, e["pair"][0].imag],
-                         [e["pair"][1].real, e["pair"][1].imag]],
+                "pair": [_xy(z) for z in e["pair"]],
                 "epsilon": e["epsilon"],
                 "converged": e["converged"],
             }

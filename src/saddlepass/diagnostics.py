@@ -8,11 +8,17 @@ reports here measure the residuals of those conditions.  For fields flagged
 non-differentiable the conditions involve normal cones rather than gradients;
 such reports are marked not applicable instead of approximating
 subdifferentials.
+
+The Hessian that :func:`classify_critical_point` reports is the symmetrized
+central-difference Jacobian of the gradient (:func:`fd_jacobian`), the same
+scheme the solvers' Newton polishes use; a field without a gradient is
+differenced twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -20,10 +26,8 @@ import numpy as np
 from .fields import ScalarField
 
 
-#: Relative central-difference steps, h = step * (1 + |x_k|) per axis.  Second
-#: differences divide by h^2, so the Hessian takes the larger step.
+#: Relative central-difference step, h = _FD_STEP * (1 + |x_k|) per axis.
 _FD_STEP = 1e-6
-_FD_HESSIAN_STEP = 1e-4
 
 
 def _central_differences(fn, x: np.ndarray) -> np.ndarray:
@@ -53,33 +57,6 @@ def fd_jacobian(fn, x) -> np.ndarray:
     """
     jac = _central_differences(fn, np.asarray(x, dtype=float)).T
     return 0.5 * (jac + jac.T)
-
-
-def fd_hessian(field: ScalarField, x) -> np.ndarray:
-    """Central second differences, symmetrized."""
-    x = np.asarray(x, dtype=float).reshape(field.dimension)
-    n = x.size
-    h = _FD_HESSIAN_STEP * (1.0 + np.abs(x))
-    f0 = field.value(x)
-    hess = np.empty((n, n))
-    for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        hess[i, i] = (field.value(xp) - 2.0 * f0 + field.value(xm)) / h[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            xpp = x.copy(); xpp[i] += h[i]; xpp[j] += h[j]
-            xpm = x.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
-            xmp = x.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
-            xmm = x.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
-            val = (
-                field.value(xpp) - field.value(xpm) - field.value(xmp) + field.value(xmm)
-            ) / (4.0 * h[i] * h[j])
-            hess[i, j] = val
-            hess[j, i] = val
-    return 0.5 * (hess + hess.T)
 
 
 def gradient_of(field: ScalarField, x) -> np.ndarray:
@@ -153,7 +130,7 @@ def classify_critical_point(
     """
     x = np.asarray(x, dtype=float).reshape(field.dimension)
     g = gradient_of(field, x)
-    hess = fd_hessian(field, x)
+    hess = fd_jacobian(partial(gradient_of, field), x)
     eigs = np.sort(np.linalg.eigvalsh(hess))
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if tol is None:

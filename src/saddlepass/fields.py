@@ -39,6 +39,13 @@ class ScalarField:
         Set ``False`` for fields that are not differentiable everywhere, even
         if finite differences happen to work away from the kinks.  Diagnostics
         use this to mark gradient-based reports as not applicable.
+
+    Attributes
+    ----------
+    segments : object or None
+        The field's exact 1-D solver on segments: an object with the four
+        methods of :class:`saddlepass.local_solver.SegmentOracle`.  ``None``
+        (the default) makes the local solver sample and refine each segment.
     """
 
     def __init__(
@@ -58,6 +65,7 @@ class ScalarField:
         self._batch_evaluate = batch_evaluate
         self.name = name
         self.differentiable = bool(differentiable)
+        self.segments = None
         self.eval_count = 0
         self.grad_count = 0
 

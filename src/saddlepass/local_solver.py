@@ -9,12 +9,15 @@ pair is an upper bound.  Near a nondegenerate saddle of Morse index 1 both
 bounds converge superlinearly.
 
 All 1-D segment work (minimize, maximize, level crossings) goes through a
-segment oracle so that callers with an exact 1-D solver (the pseudospectral
-pipeline has one) can swap out the default sampling-plus-refinement scheme.
+segment oracle.  A field that has an exact 1-D solver carries it as its
+``segments`` attribute (the sigma_min field of the pseudospectral pipeline
+carries the block-eigenvalue crossing solver); any other field gets the
+default sampling-plus-refinement scheme.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Protocol
@@ -81,6 +84,29 @@ def _refine_bracket_min(phi, ts, vs, xatol=1e-13):
     return t_best, phi(t_best)
 
 
+class _Line:
+    """The field along the line ``origin + t * direction``."""
+
+    def __init__(self, field: ScalarField, origin: np.ndarray, direction: np.ndarray):
+        self.field = field
+        self.origin = origin
+        self.direction = direction
+
+    def at(self, t):
+        return self.origin + t * self.direction
+
+    def __call__(self, t) -> float:
+        return self.field.value(self.origin + t * self.direction)
+
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        """Field values at the parameters ``ts``, in one batched evaluation."""
+        return self.field.value_many(self.origin[None, :] + ts[:, None] * self.direction[None, :])
+
+    def root(self, level: float, a: float, b: float) -> float:
+        """A parameter in [a, b] where the field crosses ``level``."""
+        return brentq(lambda t: self(t) - level, a, b, xtol=1e-15)
+
+
 class SegmentOracle(Protocol):
     """Exact or approximate 1-D solvers along segments in R^n."""
 
@@ -108,43 +134,24 @@ class DefaultSegmentOracle:
         self.field = field
 
     def _sample(self, p, q):
+        """The segment [p, q] as a line over [0, 1], with its coarse samples."""
+        p = np.asarray(p, dtype=float)
+        line = _Line(self.field, p, np.asarray(q, dtype=float) - p)
         ts = np.linspace(0.0, 1.0, _SEGMENT_SAMPLES + 1)
-        pts = p[None, :] + ts[:, None] * (q - p)[None, :]
-        return ts, self.field.value_many(pts)
+        return line, ts, line.sample(ts)
 
     def minimize(self, p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = q - p
-
-        def phi(t):
-            return self.field.value(p + t * d)
-
-        ts, vs = self._sample(p, q)
-        t, v = _refine_bracket_min(phi, ts, vs)
-        return p + t * d, float(v)
+        line, ts, vs = self._sample(p, q)
+        t, v = _refine_bracket_min(line, ts, vs)
+        return line.at(t), float(v)
 
     def maximize(self, p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = q - p
-
-        def neg(t):
-            return -self.field.value(p + t * d)
-
-        ts, vs = self._sample(p, q)
-        t, v = _refine_bracket_min(neg, ts, -vs)
-        return float(-v), p + t * d
+        line, ts, vs = self._sample(p, q)
+        t, v = _refine_bracket_min(lambda t: -line(t), ts, -vs)
+        return float(-v), line.at(t)
 
     def advance_limit(self, p, q, cap, slack):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = q - p
-
-        def phi(t):
-            return self.field.value(p + t * d)
-
-        ts, vs = self._sample(p, q)
+        line, ts, vs = self._sample(p, q)
         bad = np.nonzero(vs > cap + slack)[0]
         if bad.size == 0:
             return None
@@ -153,29 +160,25 @@ class DefaultSegmentOracle:
         while k > 0 and vs[k] > cap:
             k -= 1
         if vs[k] > cap:
-            return p.copy()
+            return line.origin.copy()
         if vs[j] <= cap:  # only over by the slack; treat sample as the limit
-            return p + ts[j] * d
-        t_star = brentq(lambda t: phi(t) - cap, ts[k], ts[j], xtol=1e-15)
-        return p + t_star * d
+            return line.at(ts[j])
+        return line.at(line.root(cap, ts[k], ts[j]))
 
     def first_crossing(self, p, q, target):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = q - p
-
-        def phi(t):
-            return self.field.value(p + t * d)
-
-        ts, vs = self._sample(p, q)
+        line, ts, vs = self._sample(p, q)
         if vs[0] >= target:
-            return p.copy()
+            return line.origin.copy()
         hit = np.nonzero(vs >= target)[0]
         if hit.size == 0:
             return None
         j = int(hit[0])
-        t_star = brentq(lambda t: phi(t) - target, ts[j - 1], ts[j], xtol=1e-15)
-        return p + t_star * d
+        return line.at(line.root(target, ts[j - 1], ts[j]))
+
+
+def _oracle(field: ScalarField) -> SegmentOracle:
+    """The field's own segment solver, or the default sampling scheme."""
+    return DefaultSegmentOracle(field) if field.segments is None else field.segments
 
 
 # --------------------------------------------------------------------------
@@ -210,22 +213,19 @@ def _local_line_minimize(field, origin, direction, tlo, thi, scale):
     exhausts the feasible interval; refines with bounded Brent plus Newton
     polish.  Returns the parameter value.
     """
-
-    def phi(t):
-        return field.value(origin + t * direction)
-
+    line = _Line(field, origin, direction)
     w = max(scale, 1e-8)
     while True:
         a = max(tlo, -w)
         b = min(thi, w)
         ts = np.linspace(a, b, 33)
-        vs = field.value_many(origin + ts[:, None] * direction)
+        vs = line.sample(ts)
         j = int(np.argmin(vs))
         interior = 0 < j < len(ts) - 1
         if interior or (a <= tlo + 1e-300 and b >= thi - 1e-300) or (a == tlo and b == thi):
             break
         w *= 2.0
-    t, _ = _refine_bracket_min(phi, ts, vs)
+    t, _ = _refine_bracket_min(line, ts, vs)
     return t
 
 
@@ -234,7 +234,6 @@ def minimize_on_hyperplane(
     region: Region,
     through: np.ndarray,
     normal: np.ndarray,
-    oracle: Optional[SegmentOracle] = None,
     locality: str = "global",
 ) -> tuple[np.ndarray, float]:
     """Minimize the field on the hyperplane through ``through`` orthogonal to ``normal``.
@@ -269,10 +268,7 @@ def minimize_on_hyperplane(
         tlo, thi = interval
         span = thi - tlo
         if locality == "global":
-            e1 = through + tlo * u
-            e2 = through + thi * u
-            orc = oracle or DefaultSegmentOracle(field)
-            z, fz = orc.minimize(e1, e2)
+            z, fz = _oracle(field).minimize(through + tlo * u, through + thi * u)
             t_star = float((z - through) @ u)
         else:
             t_star = _local_line_minimize(field, through, u, tlo, thi, scale=nn)
@@ -335,12 +331,7 @@ def minimize_on_hyperplane(
 # Spec operations
 # --------------------------------------------------------------------------
 
-def equalize_endpoints(
-    field: ScalarField,
-    x0,
-    y0,
-    oracle: Optional[SegmentOracle] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def equalize_endpoints(field: ScalarField, x0, y0) -> tuple[np.ndarray, np.ndarray]:
     """Replace the lower endpoint by the nearest point on [x0, y0] at the higher level."""
     x0 = np.asarray(x0, dtype=float).copy()
     y0 = np.asarray(y0, dtype=float).copy()
@@ -348,25 +339,14 @@ def equalize_endpoints(
     fy = field.value(y0)
     if fx == fy:
         return x0, y0
-    orc = oracle or DefaultSegmentOracle(field)
-    if fx < fy:
-        p = orc.first_crossing(x0, y0, fy)
-        if p is None:
-            raise PreconditionError("segment never attains the higher endpoint level")
-        return p, y0
-    p = orc.first_crossing(y0, x0, fx)
+    low, high = (x0, y0) if fx < fy else (y0, x0)
+    p = _oracle(field).first_crossing(low, high, max(fx, fy))
     if p is None:
         raise PreconditionError("segment never attains the higher endpoint level")
-    return x0, p
+    return (p, y0) if fx < fy else (x0, p)
 
 
-def bisector_minimize(
-    field: ScalarField,
-    region: Region,
-    x,
-    y,
-    oracle: Optional[SegmentOracle] = None,
-) -> tuple[np.ndarray, float]:
+def bisector_minimize(field: ScalarField, region: Region, x, y) -> tuple[np.ndarray, float]:
     """Minimize the field on the perpendicular bisector hyperplane of x and y.
 
     Near a nondegenerate index-1 saddle the restriction is strictly convex, so
@@ -377,18 +357,10 @@ def bisector_minimize(
     if np.array_equal(x, y):
         raise ValueError("bisector is undefined for identical points")
     mid = 0.5 * (x + y)
-    return minimize_on_hyperplane(
-        field, region, mid, x - y, oracle=oracle, locality="global"
-    )
+    return minimize_on_hyperplane(field, region, mid, x - y, locality="global")
 
 
-def advance_along_segment(
-    field: ScalarField,
-    frm,
-    to,
-    cap: float,
-    oracle: Optional[SegmentOracle] = None,
-) -> np.ndarray:
+def advance_along_segment(field: ScalarField, frm, to, cap: float) -> np.ndarray:
     """Furthest point p on [frm, to] with the field at most ``cap`` on [frm, p].
 
     Returns ``to`` exactly when no checked point violates the cap (this
@@ -403,26 +375,19 @@ def advance_along_segment(
         raise PreconditionError(f"f(from) = {f_from} exceeds cap {cap}")
     if np.array_equal(frm, to):
         return to.copy()
-    orc = oracle or DefaultSegmentOracle(field)
-    limit = orc.advance_limit(frm, to, cap, slack)
+    limit = _oracle(field).advance_limit(frm, to, cap, slack)
     if limit is None:
         return to.copy()
     return limit
 
 
-def segment_max(
-    field: ScalarField,
-    x,
-    y,
-    oracle: Optional[SegmentOracle] = None,
-) -> tuple[float, np.ndarray]:
+def segment_max(field: ScalarField, x, y) -> tuple[float, np.ndarray]:
     """Maximum of the field on the segment [x, y], with its argmax."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.array_equal(x, y):
         raise ValueError("segment endpoints must differ")
-    orc = oracle or DefaultSegmentOracle(field)
-    return orc.maximize(x, y)
+    return _oracle(field).maximize(x, y)
 
 
 def _sublevel_runs(vs: np.ndarray, level: float, tol: float):
@@ -450,12 +415,9 @@ def _segment_crossing_pair(field, xs, ys, level, tolzero):
     seg = ys - xs
     if float(np.linalg.norm(seg)) == 0.0:
         return None
-
-    def phi(t):
-        return field.value(xs + t * seg)
-
+    line = _Line(field, xs, seg)
     ts = np.linspace(0.0, 1.0, _PAIR_SAMPLES + 1)
-    vs = field.value_many(xs[None, :] + ts[:, None] * seg[None, :])
+    vs = line.sample(ts)
     runs = _sublevel_runs(vs, level, tolzero)
     if len(runs) < 2:
         return None
@@ -465,15 +427,9 @@ def _segment_crossing_pair(field, xs, ys, level, tolzero):
         return None
     # Boundary crossing at the inner end of each run; a sample inside the
     # tolerance band counts as already on the boundary.
-    if vs[end_x] >= level:
-        t1 = ts[end_x]
-    else:
-        t1 = brentq(lambda t: phi(t) - level, ts[end_x], ts[end_x + 1], xtol=1e-15)
-    if vs[start_y] >= level:
-        t2 = ts[start_y]
-    else:
-        t2 = brentq(lambda t: phi(t) - level, ts[start_y - 1], ts[start_y], xtol=1e-15)
-    return xs + t1 * seg, xs + t2 * seg
+    t1 = ts[end_x] if vs[end_x] >= level else line.root(level, ts[end_x], ts[end_x + 1])
+    t2 = ts[start_y] if vs[start_y] >= level else line.root(level, ts[start_y - 1], ts[start_y])
+    return line.at(t1), line.at(t2)
 
 
 def _pair_kkt_polish(field, region, x, y, level, steps=8):
@@ -644,8 +600,11 @@ class LocalOptions:
 
     def __post_init__(self):
         for name in ("point_tol", "gap_tol"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -681,7 +640,6 @@ def run_local(
     x0,
     y0,
     opts: Optional[LocalOptions] = None,
-    oracle: Optional[SegmentOracle] = None,
 ) -> LocalRun:
     """Run the fast local level-set iteration from a pair of endpoints.
 
@@ -692,8 +650,7 @@ def run_local(
     otherwise returns with ``converged=False``.
     """
     opts = opts or LocalOptions()
-    orc = oracle or DefaultSegmentOracle(field)
-    x, y = equalize_endpoints(field, x0, y0, oracle=orc)
+    x, y = equalize_endpoints(field, x0, y0)
     initial_pair = (x.copy(), y.copy())
 
     records: list[LocalIterate] = []
@@ -707,17 +664,17 @@ def run_local(
             x, y = refine_closest_pair(
                 field, region, x, y, field.value(x), point_tol=opts.point_tol
             )
-        z, f_z = bisector_minimize(field, region, x, y, oracle=orc)
+        z, f_z = bisector_minimize(field, region, x, y)
         slack = 1e-12 * (1.0 + abs(f_z))
         if field.value(x) > f_z + slack:
             reason = "bisector_below_level"
             break
-        x_new = advance_along_segment(field, x, z, f_z, oracle=orc)
-        y_new = advance_along_segment(field, y, z, f_z, oracle=orc)
+        x_new = advance_along_segment(field, x, z, f_z)
+        y_new = advance_along_segment(field, y, z, f_z)
         f_x = field.value(x_new)
         dist = float(np.linalg.norm(x_new - y_new))
         if dist > 0.0:
-            m_val, _ = segment_max(field, x_new, y_new, oracle=orc)
+            m_val, _ = segment_max(field, x_new, y_new)
         else:
             m_val = f_x
         gap_ratio = (m_val - f_x) / f_x if f_x != 0.0 else (m_val - f_x)
@@ -751,15 +708,17 @@ def run_local(
     return LocalRun(initial_pair=initial_pair, records=records, converged=converged, stop_reason=reason)
 
 
-def polyline_max(field: ScalarField, vertices: np.ndarray) -> float:
-    """Maximum of the field along a polyline (refined per edge)."""
+def pair_path(field: ScalarField, pairs) -> tuple[np.ndarray, float]:
+    """Polyline x0, ..., xk, yk, ..., y0 through pairs (x_i, y_i), with the
+    maximum of the field along it (refined per edge)."""
+    vertices = np.vstack([p[0] for p in pairs] + [p[1] for p in pairs][::-1])
     best = field.value(vertices[0])
     for a, b in zip(vertices[:-1], vertices[1:]):
         if np.array_equal(a, b):
             continue
         m, _ = segment_max(field, a, b)
         best = max(best, m)
-    return float(best)
+    return vertices, float(best)
 
 
 def assemble_local_path(field: ScalarField, run: LocalRun) -> tuple[np.ndarray, float]:
@@ -770,7 +729,4 @@ def assemble_local_path(field: ScalarField, run: LocalRun) -> tuple[np.ndarray, 
     """
     if not run.records:
         raise ValueError("run has no records")
-    xs = [run.initial_pair[0]] + [r.x for r in run.records]
-    ys = [r.y for r in run.records][::-1] + [run.initial_pair[1]]
-    vertices = np.vstack(xs + ys)
-    return vertices, polyline_max(field, vertices)
+    return pair_path(field, [run.initial_pair] + [(r.x, r.y) for r in run.records])

@@ -205,8 +205,6 @@ class ByersSegmentOracle:
         g = partial(_sigma_on_frame, frame)
         if g(0.0) >= target:
             return np.asarray(p, dtype=float).copy()
-        if target <= 0.0:
-            return None
         # Crossings up to just past q count: q itself often sits at the target.
         pieces = _level_intervals(frame, target, ell * (1 + 1e-12))[:-1]
         for lo, hi in pieces:
@@ -449,9 +447,10 @@ def wilkinson_local(
     """Run the local level-set iteration on sigma_min between two eigenvalues.
 
     Endpoints are pulled slightly inside the segment joining the eigenvalues
-    and equalized; every 1-D subproblem (bisector minimization, segment
-    advance, segment max) is dispatched to the exact crossing-based solvers,
-    so the bisector step is solved globally on its chord.
+    and equalized.  The sigma_min field carries a :class:`ByersSegmentOracle`,
+    so every 1-D subproblem (bisector minimization, segment advance, segment
+    max) goes to the exact crossing-based solvers and the bisector step is
+    solved globally on its chord.
     """
     pm = prepare(a)
     m = pm.matrix
@@ -466,10 +465,10 @@ def wilkinson_local(
             raise ValueError(f"{lam} is not an eigenvalue of the matrix (residual > {tol_eig})")
 
     sfield = SigmaMinField(m).as_scalar_field()
-    oracle = ByersSegmentOracle(m)
+    sfield.segments = ByersSegmentOracle(m)
     x0 = _c2p(lam1 + _PULL_IN * (lam2 - lam1))
     y0 = _c2p(lam2 - _PULL_IN * (lam2 - lam1))
-    run = run_local(sfield, pm.region, x0, y0, opts=opts.local, oracle=oracle)
+    run = run_local(sfield, pm.region, x0, y0, opts=opts.local)
     if not run.records:
         raise PreconditionError("local iteration produced no records")
     last = run.records[-1]
@@ -589,7 +588,7 @@ def pseudospectrum_grid(a, bbox, nx: int, ny: int) -> PseudospectrumGrid:
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
     x0, y0, x1, y1 = (float(v) for v in bbox)
-    if not (x1 > x0 and y1 > y0):
+    if not (x1 > x0 and y1 > y0 and np.all(np.isfinite((x0, y0, x1, y1)))):
         raise ValueError(f"invalid box {bbox}")
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from saddlepass import (
+    SigmaMinField,
+    WilkinsonOptions,
     check_pair_optimality,
     classify_critical_point,
     convergence_rates,
     get_problem,
     make_quadratic_field,
+    wilkinson_distance,
 )
 from saddlepass.diagnostics import fd_jacobian
 
@@ -129,3 +132,23 @@ def test_fd_jacobian_symmetrizes_a_nonsymmetric_map():
     jac = fd_jacobian(lambda x: m @ x, [0.5, -0.25])
     assert np.allclose(jac, 0.5 * (m + m.T), rtol=0, atol=1e-8)
     assert np.array_equal(jac, jac.T)
+
+
+def test_classify_hessian_matches_differenced_gradient_at_coalescence(ex_bidiag10):
+    # At the paper 10x10 coalescence point the Hessian eigenvalues agree with
+    # those of central differences of the analytic gradient (step 1e-5).
+    res = wilkinson_distance(ex_bidiag10, WilkinsonOptions(exhaustive=True))
+    assert res.converged
+    z = res.coalescence_point
+    field = SigmaMinField(ex_bidiag10).as_scalar_field()
+    x = np.array([z.real, z.imag])
+    cols = []
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = 1e-5 * (1.0 + abs(x[k]))
+        cols.append((field.grad(x + e) - field.grad(x - e)) / (2.0 * e[k]))
+    ref = np.sort(np.linalg.eigvalsh(0.5 * (np.column_stack(cols) + np.vstack(cols))))
+    rep = classify_critical_point(field, x)
+    assert rep.morse_index == 1
+    scale = float(np.max(np.abs(ref)))
+    assert np.max(np.abs(rep.hessian_eigenvalues - ref)) <= 1e-6 * scale

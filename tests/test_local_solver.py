@@ -380,3 +380,39 @@ def test_line_minimize_scans_each_window_in_one_batch(monkeypatch, ex_bidiag5):
     assert len(sizes) >= 2
     assert sizes == [33] * len(sizes)
     assert singles == []
+
+
+def test_run_local_step_1a_stops_on_the_gap():
+    # With the closest-pair sweep before every bisector step, the double-well
+    # run closes its value gap after two iterations, before the pair meets.
+    prob = get_problem("double-well-curve")
+    run = run_local(prob.field, prob.region, *prob.endpoints,
+                    opts=LocalOptions(do_step_1a=True))
+    assert run.converged and run.stop_reason == "gap_tol"
+    assert len(run.records) == 2
+    last = run.records[-1]
+    assert last.M - last.f_z <= LocalOptions().gap_tol
+
+
+def test_run_local_sends_every_segment_operation_to_the_fields_oracle():
+    # A field's own segment solver receives all four 1-D operations; this one
+    # delegates to the default scheme, so the run is unchanged.
+    calls = []
+
+    class Recording:
+        def __init__(self, field):
+            self.inner = local_solver.DefaultSegmentOracle(field)
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self.inner, name)
+
+    prob = get_problem("double-well-curve")
+    start = ([0.25, 0.7], [0.75, 0.2])  # unequal values, so equalizing crosses
+    plain = run_local(prob.field, prob.region, *start)
+    field = get_problem("double-well-curve").field
+    field.segments = Recording(field)
+    run = run_local(field, prob.region, *start)
+    assert set(calls) == {"first_crossing", "minimize", "advance_limit", "maximize"}
+    assert run.stop_reason == plain.stop_reason and len(run.records) == len(plain.records)
+    assert all(np.array_equal(a.x, b.x) and a.M == b.M for a, b in zip(run.records, plain.records))

@@ -141,6 +141,19 @@ def test_cli_solve_bisect_double_well_brackets_zero(tmp_path):
     assert float(last[1]) <= 0.0 <= float(last[2])
 
 
+def test_cli_solve_bisect_json_rows_equal_csv_rows(tmp_path):
+    argv = ["solve-bisect", "--problem", "double-well-curve", "--tol-gap", "1e-4"]
+    csv_out, json_out = tmp_path / "rows.csv", tmp_path / "rows.json"
+    assert run_cli(argv + ["--out", str(csv_out)]) == 0
+    assert run_cli(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    obj = json.loads(json_out.read_text())
+    assert obj["problem"] == "double-well-curve" and obj["converged"] is True
+    csv_rows = [l.split(",") for l in csv_out.read_text().strip().splitlines()[1:]]
+    assert len(obj["rows"]) == len(csv_rows) > 0
+    for row, (i, lo, up, d) in zip(obj["rows"], csv_rows):
+        assert row == {"i": int(i), "lower": float(lo), "upper": float(up), "dist": float(d)}
+
+
 def test_cli_solve_bisect_wrong_dimension():
     assert run_cli(["solve-bisect", "--problem", "sqrt-cusp"]) == 1
     assert run_cli(["solve-bisect", "--problem", "plateau"]) == 1
@@ -153,6 +166,26 @@ def test_cli_wilkinson_json(tmp_path, matrix_file):
     obj = json.loads(out.read_text())
     assert abs(obj["epsilon_bar"] - BIDIAG_5X5_EPS) <= 1e-9 * BIDIAG_5X5_EPS
     assert {"pair", "z_star", "records", "converged"} <= set(obj)
+
+
+def test_cli_wilkinson_exhaustive_pair_scan(tmp_path, matrix_file, ex_bidiag5):
+    out = tmp_path / "result.json"
+    rc = run_cli(["wilkinson", "--matrix", str(matrix_file), "--exhaustive", "--out", str(out)])
+    assert rc == 0
+    obj = json.loads(out.read_text())
+    scan = obj["pair_scan"]
+    assert len(scan) == 10
+    eigs = set(np.linalg.eigvals(ex_bidiag5).round(12))
+    seen = set()
+    for e in scan:
+        assert set(e) == {"pair", "epsilon", "converged"}
+        assert [len(p) for p in e["pair"]] == [2, 2]
+        pair = tuple(complex(re, im) for re, im in e["pair"])
+        assert {np.round(z, 12) for z in pair} <= eigs
+        seen.add(frozenset(pair))
+        if e["converged"]:
+            assert obj["epsilon_bar"] <= e["epsilon"]
+    assert len(seen) == 10
 
 
 def test_cli_wilkinson_degenerate_spectrum_exit_zero(tmp_path):
@@ -228,8 +261,19 @@ def test_cli_non_finite_matrix_is_input_error(tmp_path, capsys, command, extra):
         (["wilkinson", "--tol-point", "0"], "point_tol must be positive"),
         (["solve-bisect", "--problem", "quadratic-saddle", "--max-iter", "0"],
          "max_iter must be at least 1"),
+        # An infinite tolerance would stop the run at once and report convergence.
+        (["solve-local", "--problem", "double-well-curve", "--tol-gap", "inf"],
+         "gap_tol must be finite, got inf"),
+        (["solve-local", "--problem", "double-well-curve", "--tol-point", "inf"],
+         "point_tol must be finite, got inf"),
+        (["solve-bisect", "--problem", "double-well-curve", "--tol-gap", "inf"],
+         "tolerances must be finite"),
+        (["solve-bisect", "--problem", "double-well-curve", "--tol-point", "inf"],
+         "tolerances must be finite"),
     ],
-    ids=["solve-local-tol-gap", "wilkinson-tol-point", "solve-bisect-max-iter"],
+    ids=["solve-local-tol-gap", "wilkinson-tol-point", "solve-bisect-max-iter",
+         "solve-local-tol-gap-inf", "solve-local-tol-point-inf",
+         "solve-bisect-tol-gap-inf", "solve-bisect-tol-point-inf"],
 )
 def test_cli_bad_option_value_is_input_error(tmp_path, capsys, matrix_file, argv, message):
     # An option the solver options reject is an input error (1) reported as
@@ -272,6 +316,8 @@ EXIT_CODE_TABLE = [
                  "error: solve-bisect requires --problem", id="usage-bisect-matrix"),
     pytest.param(["wilkinson", "--matrix", "{m}", "--format", "csv"], None, 1,
                  "error: wilkinson emits JSON; use --format json", id="usage-wilkinson-csv"),
+    pytest.param(["psgrid", "--matrix", "{m}", "--box", "0", "0", "1", "inf"], None, 1,
+                 "error: invalid box (0.0, 0.0, 1.0, inf)", id="psgrid-infinite-box"),
     pytest.param(["wilkinson", "--help"], None, 0, "", id="help"),
     pytest.param(["solve-bisect", "--problem", "nope"], None, 1,
                  "error: \"unknown problem 'nope'; known: ", id="unknown-problem"),

@@ -390,3 +390,18 @@ def test_pseudospectrum_grid_min_bounds_estimate(ex_bidiag5):
     gx, gy = np.meshgrid(grid.xs, grid.ys)
     j = np.argmin(np.abs((gx + 1j * gy) - eigs[0]))
     assert grid.sigma.ravel()[j] <= grid.sigma[0, 0]
+
+
+def test_wilkinson_local_solves_on_the_byers_oracle(monkeypatch, ex_bidiag5):
+    # Every segment operation of the sigma_min run goes to the field's Byers
+    # oracle; the sampling scheme is never consulted.
+    from saddlepass.local_solver import DefaultSegmentOracle
+
+    def fail(*args, **kwargs):
+        raise AssertionError("default segment oracle used")
+
+    for name in ("minimize", "maximize", "advance_limit", "first_crossing"):
+        monkeypatch.setattr(DefaultSegmentOracle, name, fail)
+    res = wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
+    assert res.converged
+    assert abs(res.epsilon_bar_estimate - BIDIAG_5X5_EPS) <= 1e-9 * BIDIAG_5X5_EPS

@@ -134,6 +134,11 @@ def _invocations(matrices) -> list[tuple[str, list[str], object]]:
         ("usage-wilkinson-csv", ["wilkinson", "--matrix", m5, "--format", "csv"], None),
         ("bad-option-tol-gap", ["solve-local", "--problem", "quadratic-saddle",
                                 "--tol-gap", "-1"], None),
+        ("bad-option-bisect-tol-gap-inf", ["solve-bisect", "--problem", "double-well-curve",
+                                           "--tol-gap", "inf"], None),
+        ("bad-option-local-tol-point-inf", ["solve-local", "--problem", "double-well-curve",
+                                            "--tol-point", "inf"], None),
+        ("psgrid-infinite-box", ["psgrid", "--matrix", m5, "--box", "0", "0", "1", "inf"], None),
         ("unknown-problem", ["solve-bisect", "--problem", "nope"], None),
         ("missing-file", ["psgrid", "--matrix", "{in}/missing.txt"], None),
         ("solve-local-1x1", ["solve-local", "--matrix", "{in}/one-by-one.txt"], None),
