@@ -63,7 +63,6 @@ from .local_solver import (
     segment_max,
 )
 from .wilkinson import (
-    ByersSegmentOracle,
     PseudospectrumGrid,
     VoronoiEdge,
     WilkinsonOptions,

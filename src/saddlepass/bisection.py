@@ -151,10 +151,6 @@ def _closest_points(pa: np.ndarray, pb: np.ndarray):
     return pa[j], pb[idx[j]], float(d[j])
 
 
-def _closest_cell_pair(grid: _Grid, la: int, lb: int):
-    return _closest_points(grid.component_cells(la), grid.component_cells(lb))
-
-
 def _refine_window(q: ComponentQuery, grid: _Grid, la: int, lb: int, pa, pb):
     """Re-examine a window around the near-touching cells at spacing h/4.
 
@@ -211,7 +207,7 @@ def _analyze(q: ComponentQuery, a, b, samples: Optional[_Samples] = None):
     lb = grid.seed_label(b)
     if la == lb:
         return None
-    pa, pb, dcells = _closest_cell_pair(grid, la, lb)
+    pa, pb, dcells = _closest_points(grid.component_cells(la), grid.component_cells(lb))
     if dcells < 4.0 * q.resolution:
         merged, refined_pair = _refine_window(q, grid, la, lb, pa, pb)
         if merged:

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol_gap, max_iter, need_input=True):
+    def add_common(p, tol_gap, max_iter, need_input=True, step1a=True):
         if need_input:
             grp = p.add_mutually_exclusive_group(required=True)
             grp.add_argument("--problem", help="catalog problem name")
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-point", type=float, default=1e-10)
         p.add_argument("--tol-gap", type=float, default=tol_gap)
         p.add_argument("--max-iter", type=int, default=max_iter)
-        p.add_argument("--step1a", action="store_true")
+        if step1a:
+            p.add_argument("--step1a", action="store_true")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
 
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_local.set_defaults(func=cmd_solve_local)
 
     p_bis = sub.add_parser("solve-bisect", help="level bisection with component tests")
-    add_common(p_bis, 1e-6, 80)
+    add_common(p_bis, 1e-6, 80, step1a=False)
     p_bis.set_defaults(func=cmd_solve_bisect)
 
     p_wil = sub.add_parser("wilkinson", help="Wilkinson distance pipeline")

@@ -9,16 +9,15 @@ non-differentiable the conditions involve normal cones rather than gradients;
 such reports are marked not applicable instead of approximating
 subdifferentials.
 
-The Hessian that :func:`classify_critical_point` reports is the symmetrized
-central-difference Jacobian of the gradient (:func:`fd_jacobian`), the same
-scheme the solvers' Newton polishes use; a field without a gradient is
-differenced twice.
+The Hessian that :func:`classify_critical_point` reports comes from
+:func:`hessian_of`, as does the one of the closest-pair Newton polish: the
+symmetrized central-difference Jacobian of the gradient (:func:`fd_jacobian`),
+or second differences of values for a field without a gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,6 +27,9 @@ from .fields import ScalarField
 
 #: Relative central-difference step, h = _FD_STEP * (1 + |x_k|) per axis.
 _FD_STEP = 1e-6
+
+#: Relative step of :func:`hessian_of`'s second differences of values.
+_FD2_STEP = 1e-4
 
 
 def _central_differences(fn, x: np.ndarray) -> np.ndarray:
@@ -63,6 +65,23 @@ def gradient_of(field: ScalarField, x) -> np.ndarray:
     if field.has_gradient:
         return field.grad(x)
     return fd_gradient(field, x)
+
+
+def hessian_of(field: ScalarField, x) -> np.ndarray:
+    """Finite-difference Hessian at ``x``: the :func:`fd_jacobian` of the
+    field's gradient or, without one, the symmetrized four-point second
+    differences of values (f(x+a+b) - f(x+a-b) - f(x-a+b) + f(x-a-b)) / 4 h_i h_j
+    with a = h_i e_i, b = h_j e_j and h_k = 1e-4 (1 + |x_k|), which difference
+    only once and so keep roundoff small."""
+    x = np.asarray(x, dtype=float).reshape(field.dimension)
+    if field.has_gradient:
+        return fd_jacobian(field.grad, x)
+    f = field.value
+    hs = np.diag(_FD2_STEP * (1.0 + np.abs(x)))
+    hess = np.array([[(f(x + a + b) - f(x + a - b) - f(x - a + b) + f(x - a - b))
+                      / (4.0 * a[i] * b[j]) for j, b in enumerate(hs)]
+                     for i, a in enumerate(hs)])
+    return 0.5 * (hess + hess.T)
 
 
 @dataclass
@@ -130,7 +149,7 @@ def classify_critical_point(
     """
     x = np.asarray(x, dtype=float).reshape(field.dimension)
     g = gradient_of(field, x)
-    hess = fd_jacobian(partial(gradient_of, field), x)
+    hess = hessian_of(field, x)
     eigs = np.sort(np.linalg.eigvalsh(hess))
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if tol is None:

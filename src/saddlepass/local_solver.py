@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Protocol
 
 import numpy as np
 from scipy.optimize import brentq, minimize as sp_minimize, minimize_scalar
 
-from .diagnostics import fd_jacobian, gradient_of
+from .diagnostics import fd_jacobian, gradient_of, hessian_of
 from .errors import BoundaryHitError, PreconditionError
 from .fields import Region, ScalarField
 
@@ -161,8 +160,6 @@ class DefaultSegmentOracle:
             k -= 1
         if vs[k] > cap:
             return line.origin.copy()
-        if vs[j] <= cap:  # only over by the slack; treat sample as the limit
-            return line.at(ts[j])
         return line.at(line.root(cap, ts[k], ts[j]))
 
     def first_crossing(self, p, q, target):
@@ -192,8 +189,6 @@ def _hyperplane_basis(unit_normal: np.ndarray) -> np.ndarray:
     remaining reflector columns span the hyperplane.
     """
     n = unit_normal.size
-    if n == 1:
-        return np.zeros((1, 0))
     d = unit_normal if unit_normal[-1] >= 0 else -unit_normal
     e = np.zeros(n)
     e[-1] = 1.0
@@ -390,22 +385,6 @@ def segment_max(field: ScalarField, x, y) -> tuple[float, np.ndarray]:
     return _oracle(field).maximize(x, y)
 
 
-def _sublevel_runs(vs: np.ndarray, level: float, tol: float):
-    """Indices of maximal runs of samples with value <= level + tol."""
-    below = vs <= level + tol
-    runs = []
-    start = None
-    for i, flag in enumerate(below):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(vs) - 1))
-    return runs
-
-
 def _segment_crossing_pair(field, xs, ys, level, tolzero):
     """Closest pair between the sublevel components met along [xs, ys].
 
@@ -418,13 +397,14 @@ def _segment_crossing_pair(field, xs, ys, level, tolzero):
     line = _Line(field, xs, seg)
     ts = np.linspace(0.0, 1.0, _PAIR_SAMPLES + 1)
     vs = line.sample(ts)
-    runs = _sublevel_runs(vs, level, tolzero)
-    if len(runs) < 2:
+    # Runs of samples with value <= level + tolzero are split where the
+    # sample indices jump; the pair sits between the first and the last run.
+    below = np.flatnonzero(vs <= level + tolzero)
+    jumps = np.flatnonzero(np.diff(below) > 1)
+    if jumps.size == 0:
         return None
-    end_x = runs[0][1]
-    start_y = runs[-1][0]
-    if end_x + 1 >= len(ts) or start_y == 0:
-        return None
+    end_x = below[jumps[0]]
+    start_y = below[jumps[-1] + 1]
     # Boundary crossing at the inner end of each run; a sample inside the
     # tolerance band counts as already on the boundary.
     t1 = ts[end_x] if vs[end_x] >= level else line.root(level, ts[end_x], ts[end_x + 1])
@@ -463,8 +443,8 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
         if nr <= 1e-13 * (1.0 + abs(level)):
             break
         d = y - x
-        hx = fd_jacobian(partial(gradient_of, field), x)
-        hy = fd_jacobian(partial(gradient_of, field), y)
+        hx = hessian_of(field, x)
+        hy = hessian_of(field, y)
         jac = np.zeros((2 * n + 2, 2 * n + 2))
         jac[:n, :n] = hx + k1 * np.eye(n)
         jac[:n, n : 2 * n] = -k1 * np.eye(n)

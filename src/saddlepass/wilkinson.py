@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import NUMERICAL_FAILURES, DegenerateSpectrumError, PreconditionError
-from .fields import Box
+from .fields import Box, ScalarField
 from .linalg import (
     SegmentFrame,
     SigmaMinField,
@@ -41,7 +41,6 @@ from .linalg import (
     byers_vertical_crossings,
     eigenvalues,
     rotate_to_vertical,
-    smallest_singular_value,
     spectral_norm,
 )
 from .local_solver import LocalIterate, LocalOptions, run_local
@@ -105,12 +104,7 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
     frame = rotate_to_vertical(a, p, q)
     ell = frame.length
 
-    cache: dict[float, float] = {}
-
-    def g(y: float) -> float:
-        if y not in cache:
-            cache[y] = _sigma_on_frame(frame, y)
-        return cache[y]
+    g = cache(partial(_sigma_on_frame, frame))
 
     best_y = 0.0
     best = g(0.0)
@@ -160,11 +154,28 @@ def segment_maximize_sigma(a, p: complex, q: complex) -> tuple[float, complex]:
     return v, z
 
 
-class ByersSegmentOracle:
-    """Exact 1-D segment solvers for the sigma_min field of a fixed matrix."""
+class PreparedMatrix(SigmaMinField):
+    """A validated matrix with the spectral data every entry point needs.
+
+    It is the sigma_min field of the matrix and that field's exact segment
+    solver: the four segment methods run the level-sweep extremization and
+    the block-eigenvalue crossing test on ``matrix``.  ``eigs`` are sorted as
+    :func:`eigenvalues` sorts them, ``norm`` is the spectral norm and
+    ``region`` the inflated spectrum box that bounds both the Voronoi diagram
+    and the local iteration.
+    """
 
     def __init__(self, a):
-        self.matrix = as_complex_matrix(a)
+        super().__init__(a)
+        self.eigs = eigenvalues(self.matrix)
+        self.norm = spectral_norm(self.matrix)
+        self.region = _spectrum_box(self.eigs, self.norm)
+
+    def as_scalar_field(self) -> ScalarField:
+        """The sigma_min field with this matrix as its segment solver."""
+        sfield = super().as_scalar_field()
+        sfield.segments = self
+        return sfield
 
     def minimize(self, p, q):
         z, v = segment_minimize_sigma(self.matrix, _p2c(p), _p2c(q))
@@ -179,8 +190,6 @@ class ByersSegmentOracle:
         ell = frame.length
         g = partial(_sigma_on_frame, frame)
         eps_det = cap + slack
-        if eps_det <= 0.0:
-            return None if g(ell) <= eps_det else _c2p(frame.point_at(0.0))
         violation_start = next(
             (lo for lo, hi in _level_intervals(frame, eps_det, ell)
              if hi - lo > 1e-15 * ell and g(0.5 * (lo + hi)) > eps_det),
@@ -239,33 +248,13 @@ def _spectrum_box(eigs: np.ndarray, norm_a: float) -> Box:
     return Box((cx - hx, cy - hy), (cx + hx, cy + hy))
 
 
-@dataclass(frozen=True)
-class PreparedMatrix:
-    """A validated matrix with the spectral data every entry point needs.
-
-    ``eigs`` are sorted as :func:`eigenvalues` sorts them, ``norm`` is the
-    spectral norm and ``region`` the inflated spectrum box that bounds both
-    the Voronoi diagram and the local iteration.
-    """
-
-    matrix: np.ndarray
-    eigs: np.ndarray
-    norm: float
-    region: Box
-
-
 def prepare(a) -> PreparedMatrix:
     """Validate ``a`` and compute its eigenvalues, norm and region once.
 
     A :class:`PreparedMatrix` is returned unchanged, so entry points that
     call each other share one preparation.
     """
-    if isinstance(a, PreparedMatrix):
-        return a
-    m = as_complex_matrix(a)
-    eigs = eigenvalues(m)
-    norm_a = spectral_norm(m)
-    return PreparedMatrix(matrix=m, eigs=eigs, norm=norm_a, region=_spectrum_box(eigs, norm_a))
+    return a if isinstance(a, PreparedMatrix) else PreparedMatrix(a)
 
 
 def voronoi_edges(spectrum, bbox: Box) -> list[VoronoiEdge]:
@@ -365,11 +354,10 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     """
     pm = prepare(a)
     eigs = pm.eigs
-    gap_tol = 1e-10 * (1.0 + pm.norm)
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if abs(eigs[i] - eigs[j]) <= gap_tol:
-                raise DegenerateSpectrumError(complex(eigs[i]))
+    close = np.abs(eigs[:, None] - eigs[None, :]) <= 1e-10 * (1.0 + pm.norm)
+    repeated = np.argwhere(np.triu(close, 1))  # row-major: the first (i, j)
+    if repeated.size:
+        raise DegenerateSpectrumError(complex(eigs[repeated[0, 0]]))
     edges = voronoi_edges(eigs, pm.region)
     if not edges:
         raise RuntimeError("no Voronoi edges inside the bounding box")
@@ -447,13 +435,13 @@ def wilkinson_local(
     """Run the local level-set iteration on sigma_min between two eigenvalues.
 
     Endpoints are pulled slightly inside the segment joining the eigenvalues
-    and equalized.  The sigma_min field carries a :class:`ByersSegmentOracle`,
-    so every 1-D subproblem (bisector minimization, segment advance, segment
+    and equalized.  The run is on the sigma_min field of the
+    :class:`PreparedMatrix`, which is also the field's segment solver, so
+    every 1-D subproblem (bisector minimization, segment advance, segment
     max) goes to the exact crossing-based solvers and the bisector step is
     solved globally on its chord.
     """
     pm = prepare(a)
-    m = pm.matrix
     opts = opts or WilkinsonOptions()
     lam1 = complex(lam1)
     lam2 = complex(lam2)
@@ -461,22 +449,20 @@ def wilkinson_local(
         raise ValueError("eigenvalue pair must be distinct")
     tol_eig = 1e-8 * (1.0 + pm.norm)
     for lam in (lam1, lam2):
-        if smallest_singular_value(m - lam * np.eye(m.shape[0])) > tol_eig:
+        if pm.sigma_at(lam) > tol_eig:
             raise ValueError(f"{lam} is not an eigenvalue of the matrix (residual > {tol_eig})")
 
-    sfield = SigmaMinField(m).as_scalar_field()
-    sfield.segments = ByersSegmentOracle(m)
     x0 = _c2p(lam1 + _PULL_IN * (lam2 - lam1))
     y0 = _c2p(lam2 - _PULL_IN * (lam2 - lam1))
-    run = run_local(sfield, pm.region, x0, y0, opts=opts.local)
+    run = run_local(pm.as_scalar_field(), pm.region, x0, y0, opts=opts.local)
     if not run.records:
         raise PreconditionError("local iteration produced no records")
     last = run.records[-1]
     z_star = _p2c(last.z)
-    eps_bar = smallest_singular_value(m - z_star * np.eye(m.shape[0]))
-    pert = nearest_defective_perturbation(m, z_star)
+    eps_bar = pm.sigma_at(z_star)
+    pert = nearest_defective_perturbation(pm.matrix, z_star)
     return WilkinsonResult(
-        matrix=m,
+        matrix=pm.matrix,
         chosen_pair=(lam1, lam2),
         coalescence_point=z_star,
         epsilon_bar_estimate=eps_bar,

@@ -118,6 +118,21 @@ class _RunUnionFind:
             self.parent[rj] = ri
 
 
+def sublevel_runs(vs, level: float) -> list[tuple[int, int]]:
+    """(first, last) indices of the maximal runs of samples with value <= level."""
+    runs = []
+    start = None
+    for i, v in enumerate(vs):
+        if v <= level and start is None:
+            start = i
+        elif v > level and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(vs) - 1))
+    return runs
+
+
 def label_mask_components(mask: np.ndarray) -> np.ndarray:
     """4-connected component labels of a boolean mask, by run merging.
 

@@ -145,6 +145,15 @@ def test_bisect_quadratic_saddle_bracket_and_exact_halving():
         assert up - lo == state.widths[k + 1]
 
 
+def test_bisect_stops_on_the_pair_distance():
+    state = bisect(QS, opts=BisectionOptions(point_tol=1e-2))
+    assert state.stop_reason == "point_tol"
+    assert state.converged
+    assert state.iterations == 16
+    x, y = state.pair
+    assert float(np.linalg.norm(x - y)) <= 1e-2
+
+
 def test_bisect_lower_nondecreasing_upper_nonincreasing():
     state = bisect(QS, init_lower=-1.0, init_upper=1.0,
                    opts=BisectionOptions(value_tol=1e-6, max_iter=40))

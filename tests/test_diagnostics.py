@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from saddlepass import (
+    ScalarField,
     SigmaMinField,
     WilkinsonOptions,
     check_pair_optimality,
@@ -11,7 +12,7 @@ from saddlepass import (
     make_quadratic_field,
     wilkinson_distance,
 )
-from saddlepass.diagnostics import fd_jacobian
+from saddlepass.diagnostics import fd_jacobian, hessian_of
 
 from conftest import BIDIAG_5X5_EPS
 
@@ -75,6 +76,22 @@ def test_classify_double_well_contact_point():
     assert rep.grad_norm <= 1e-6
     assert rep.morse_index == 1
     assert np.allclose(rep.hessian_eigenvalues, [-9.0, 1.0], atol=1e-5)
+
+
+def test_classify_hessian_of_a_field_without_gradient():
+    # x1^2 - x2^2 known by its values only.  Differencing a differenced
+    # gradient would cost about three digits; second differences of values
+    # keep the Hessian eigenvalues well inside the 1e-6 nondegeneracy scale.
+    field = ScalarField(2, lambda x: x[0] ** 2 - x[1] ** 2)
+    rep = classify_critical_point(field, [0.3, 0.7])
+    assert np.max(np.abs(rep.hessian_eigenvalues - [-2.0, 2.0])) <= 1e-8 * 2.0
+    assert rep.morse_index == 1 and rep.nondegenerate
+
+
+def test_hessian_of_a_field_with_gradient_differences_the_gradient():
+    prob = get_problem("double-well-curve")
+    x = np.array([0.9, 1.2])
+    assert np.array_equal(hessian_of(prob.field, x), fd_jacobian(prob.field.grad, x))
 
 
 def test_classify_marks_nonsmooth_not_applicable():

@@ -24,7 +24,7 @@ from saddlepass.errors import PreconditionError
 from saddlepass.local_solver import _pair_kkt_polish, minimize_on_hyperplane
 
 from conftest import perturbed_quadratic
-from oracles import golden_minimize, scan_first_crossing
+from oracles import golden_minimize, scan_first_crossing, sublevel_runs
 
 QS = get_problem("quadratic-saddle")
 
@@ -240,6 +240,25 @@ def test_hyperplane_newton_polish_evaluates_the_field_once_per_step(monkeypatch)
     polish_evals = field.eval_count - marks["after_descent"] - 1  # minus the returned value
     assert marks["steps"] >= 1
     assert 1 <= polish_evals <= marks["steps"] + 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_segment_crossing_pair_spans_the_first_and_last_sublevel_runs(seed):
+    # A piecewise-linear field on [0, 1] with samples at -1 or +1: the pair
+    # sits at the crossings that close the first run of samples <= 0 and open
+    # the last one, or is None with fewer than two runs.
+    ts = np.linspace(0.0, 1.0, local_solver._PAIR_SAMPLES + 1)
+    p_below = (0.01, 0.5, 0.995)[seed % 3]
+    vs = np.where(np.random.default_rng(seed).random(ts.size) < p_below, -1.0, 1.0)
+    field = ScalarField(1, lambda x: float(np.interp(x[0], ts, vs)))
+    got = local_solver._segment_crossing_pair(field, np.zeros(1), np.ones(1), 0.0, 1e-12)
+    runs = sublevel_runs(vs, 0.0)
+    if len(runs) < 2:
+        assert got is None
+        return
+    end_x, start_y = runs[0][1], runs[-1][0]
+    assert got[0][0] == pytest.approx(0.5 * (ts[end_x] + ts[end_x + 1]), abs=1e-12)
+    assert got[1][0] == pytest.approx(0.5 * (ts[start_y - 1] + ts[start_y]), abs=1e-12)
 
 
 # --------------------------------------------------------------- run_local

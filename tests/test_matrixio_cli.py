@@ -314,6 +314,9 @@ EXIT_CODE_TABLE = [
                  id="usage-grid-one-value"),
     pytest.param(["solve-bisect", "--matrix", "{m}"], None, 1,
                  "error: solve-bisect requires --problem", id="usage-bisect-matrix"),
+    pytest.param(["solve-bisect", "--problem", "quadratic-saddle", "--step1a"], None, 1,
+                 "saddlepass: error: unrecognized arguments: --step1a",
+                 id="usage-bisect-step1a"),
     pytest.param(["wilkinson", "--matrix", "{m}", "--format", "csv"], None, 1,
                  "error: wilkinson emits JSON; use --format json", id="usage-wilkinson-csv"),
     pytest.param(["psgrid", "--matrix", "{m}", "--box", "0", "0", "1", "inf"], None, 1,

@@ -19,7 +19,7 @@ from saddlepass import (
     wilkinson_distance,
     wilkinson_local,
 )
-from saddlepass.errors import DegenerateSpectrumError
+from saddlepass.errors import DegenerateSpectrumError, PreconditionError
 
 from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5, bidiagonal_10x10
 from oracles import golden_minimize
@@ -143,6 +143,10 @@ def test_voronoi_heuristic_nearest_gap_on_normal_matrix():
 def test_voronoi_heuristic_rejects_repeated_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         voronoi_heuristic(np.diag([1.0, 1.0, 3.0]).astype(complex))
+    # The first repeated pair in sorted order is the one reported.
+    with pytest.raises(DegenerateSpectrumError) as err:
+        voronoi_heuristic(np.diag([5.0, 2.0, 5.0 + 1e-12, 0.0, 2.0]).astype(complex))
+    assert err.value.eigenvalue == 2.0
 
 
 def _random_matrix(kind, n, seed):
@@ -332,6 +336,33 @@ def test_exhaustive_scan_prepares_the_matrix_once(monkeypatch, ex_bidiag5):
     assert calls == {"eigenvalues": 1, "spectral_norm": 1}
 
 
+def test_exhaustive_scan_builds_one_sigma_min_field(monkeypatch, ex_bidiag5):
+    # The prepared matrix is the field and its segment solver: no local solve
+    # copies the matrix into a field of its own.
+    built = []
+    init = SigmaMinField.__init__
+
+    def counted(self, a):
+        built.append(type(self).__name__)
+        init(self, a)
+
+    monkeypatch.setattr(SigmaMinField, "__init__", counted)
+    res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
+    assert len(res.pair_scan) == 10
+    assert built == ["PreparedMatrix"]
+
+
+def test_exhaustive_mode_raises_the_heuristic_error_when_no_pair_converges(
+    monkeypatch, ex_bidiag5
+):
+    def fail(*args, **kwargs):
+        raise PreconditionError("no feasible start")
+
+    monkeypatch.setattr(wk, "run_local", fail)
+    with pytest.raises(PreconditionError, match="no feasible start"):
+        wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
+
+
 # ------------------------------------------------------------ perturbation
 
 def test_perturbation_makes_point_an_eigenvalue():
@@ -405,3 +436,19 @@ def test_wilkinson_local_solves_on_the_byers_oracle(monkeypatch, ex_bidiag5):
     res = wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
     assert res.converged
     assert abs(res.epsilon_bar_estimate - BIDIAG_5X5_EPS) <= 1e-9 * BIDIAG_5X5_EPS
+
+
+def test_wilkinson_local_runs_on_the_prepared_matrix(monkeypatch, ex_bidiag5):
+    # The field handed to the local solver has the prepared matrix itself as
+    # its segment solver.
+    fields = []
+    run = wk.run_local
+
+    def recording(field, *args, **kwargs):
+        fields.append(field)
+        return run(field, *args, **kwargs)
+
+    monkeypatch.setattr(wk, "run_local", recording)
+    pm = wk.prepare(ex_bidiag5)
+    wilkinson_local(pm, 0.461 + 0.650j, 0.451 + 0.553j)
+    assert len(fields) == 1 and fields[0].segments is pm

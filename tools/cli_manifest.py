@@ -108,6 +108,9 @@ def _invocations(matrices) -> list[tuple[str, list[str], object]]:
     # At the default --tol-gap (1e-6) the 2-D runs go 19 to 22 levels deep.
     rows += [(f"solve-bisect-default-{p}", ["solve-bisect", "--problem", p], None)
              for p in CATALOG_2D]
+    # A pair-distance stop after 16 levels.
+    rows.append(("solve-bisect-tol-point-quadratic-saddle",
+                 ["solve-bisect", "--problem", "quadratic-saddle", "--tol-point", "1e-2"], None))
     for name, a in matrices.items():
         m = f"{{in}}/{name}.txt"
         rows += [
@@ -131,6 +134,8 @@ def _invocations(matrices) -> list[tuple[str, list[str], object]]:
         ("usage-unknown-subcommand", ["bogus"], None),
         ("usage-grid-one-value", ["psgrid", "--matrix", m5, "--grid", "3"], None),
         ("usage-bisect-matrix", ["solve-bisect", "--matrix", m5], None),
+        ("usage-bisect-step1a", ["solve-bisect", "--problem", "quadratic-saddle", "--step1a"],
+         None),
         ("usage-wilkinson-csv", ["wilkinson", "--matrix", m5, "--format", "csv"], None),
         ("bad-option-tol-gap", ["solve-local", "--problem", "quadratic-saddle",
                                 "--tol-gap", "-1"], None),
