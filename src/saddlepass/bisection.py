@@ -280,7 +280,6 @@ class BisectionState:
     history: list[tuple[float, float, np.ndarray, np.ndarray]]
     widths: list[float]
     pairs: list[tuple[np.ndarray, np.ndarray]]
-    certificate_upper: float
     iterations: int
     converged: bool
     stop_reason: str
@@ -325,7 +324,6 @@ def bisect(
     x = a.copy()
     y = b.copy()
     level_of_pair = lower
-    cert = upper
     history: list = []
     widths = [width]
     pairs = [(a.copy(), b.copy())]
@@ -361,9 +359,6 @@ def bisect(
             x, y = res.x.copy(), res.y.copy()
             level_of_pair = mid
             pairs.append((x.copy(), y.copy()))
-            if float(np.linalg.norm(x - y)) > 0:
-                m_seg, _ = segment_max(field, x, y)
-                cert = min(cert, max(m_seg, lower))
         width = width / 2.0
         widths.append(width)
         history.append((lower, upper, x.copy(), y.copy()))
@@ -371,7 +366,7 @@ def bisect(
 
     state = BisectionState(
         lower=lower, upper=upper, pair=(x, y), level_of_pair=level_of_pair,
-        history=history, widths=widths, pairs=pairs, certificate_upper=cert,
+        history=history, widths=widths, pairs=pairs,
         iterations=iterations, converged=converged, stop_reason=reason,
     )
     if limit is not None:

@@ -260,61 +260,45 @@ def prepare(a) -> PreparedMatrix:
 def voronoi_edges(spectrum, bbox: Box) -> list[VoronoiEdge]:
     """All Voronoi edges of the spectrum, clipped to the bounding box.
 
-    Brute-force half-plane clipping per unordered pair: the perpendicular
-    bisector line of the pair, restricted by every other point's dominance
-    half-plane and by the box.  O(n^3), fine for the spectra handled here.
+    Half-plane clipping of every unordered pair (i, j), i < j, at once: on
+    the pair's perpendicular bisector line ``z = mid + t*u`` each other
+    point's dominance half-plane and each side of the box is a row
+    ``coef * t <= rhs``, and the edge is the interval those rows leave.
+    Exact duplicate points count once.
     """
-    pts = np.asarray(spectrum, dtype=complex).reshape(-1)
-    uniq: list[complex] = []
-    for z in pts:
-        if all(abs(z - w) > 0 for w in uniq):
-            uniq.append(complex(z))
-    if len(uniq) < 2:
+    pts = np.array(list(dict.fromkeys(np.asarray(spectrum, dtype=complex).reshape(-1).tolist())))
+    if len(pts) < 2:
         raise ValueError("need at least 2 distinct spectrum points")
-    pts = np.array(uniq)
-    edges: list[VoronoiEdge] = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            zi, zj = pts[i], pts[j]
-            mid = 0.5 * (zi + zj)
-            d = zj - zi
-            # Direction along the bisector.
-            u = 1j * d / abs(d)
-            base = np.array([mid.real, mid.imag])
-            du = np.array([u.real, u.imag])
-            interval = bbox.line_interval(base, du)
-            if interval is None:
-                continue
-            tlo, thi = interval
-            ok = True
-            for k in range(len(pts)):
-                if k in (i, j):
-                    continue
-                zk = pts[k]
-                # |z - zi|^2 <= |z - zk|^2 is linear along the bisector line:
-                # with z = mid + t*u, it reads coef * t <= rhs.
-                coef = 2.0 * (u * (zk - zi).conjugate()).real
-                rhs = abs(zk - mid) ** 2 - abs(zi - mid) ** 2
-                if abs(coef) < 1e-15 * (1.0 + abs(rhs)):
-                    if rhs < 0:
-                        ok = False
-                        break
-                    continue
-                bound = rhs / coef
-                if coef > 0:
-                    thi = min(thi, bound)
-                else:
-                    tlo = max(tlo, bound)
-                if tlo >= thi:
-                    ok = False
-                    break
-            if not ok or thi - tlo <= 1e-12 * (1.0 + abs(d)):
-                continue
-            z0 = mid + tlo * u
-            z1 = mid + thi * u
-            edges.append(VoronoiEdge(start=complex(z0), end=complex(z1),
-                                     pair=(complex(zi), complex(zj))))
-    return edges
+    # numpy's array abs, complex product and square can round differently
+    # from its scalar ones; hypot, the written-out product and float_power
+    # (libm pow) do not, so each edge is bit for bit that of a pair-by-pair clip.
+    sq = lambda z: np.float_power(np.hypot(z.real, z.imag), 2)
+    i, j = np.triu_indices(len(pts), 1)
+    mid = 0.5 * (pts[i] + pts[j])
+    d = pts[j] - pts[i]
+    dist = np.hypot(d.real, d.imag)
+    u = 1j * d / dist
+    # |z - zi|^2 <= |z - zk|^2 is linear along the bisector line; the pair's
+    # own two points impose nothing.
+    w = pts - pts[i][:, None]
+    coef = 2.0 * (u.real[:, None] * w.real + u.imag[:, None] * w.imag)
+    rhs = sq(pts - mid[:, None]) - sq(pts[i] - mid)[:, None]
+    own = np.arange(len(i))
+    coef[own, i] = coef[own, j] = rhs[own, i] = rhs[own, j] = 0.0
+    (x0, y0), (x1, y1) = bbox.lower, bbox.upper
+    coef = np.column_stack([coef, u.real, -u.real, u.imag, -u.imag])
+    rhs = np.column_stack([rhs, x1 - mid.real, mid.real - x0, y1 - mid.imag, mid.imag - y0])
+    flat = np.abs(coef) < 1e-15 * (1.0 + np.abs(rhs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = rhs / coef
+    tlo = np.where(~flat & (coef < 0), bound, -np.inf).max(axis=1)
+    thi = np.where(~flat & (coef > 0), bound, np.inf).min(axis=1)
+    keep = ~(flat & (rhs < 0)).any(axis=1) & (thi - tlo > 1e-12 * (1.0 + dist))
+    return [
+        VoronoiEdge(start=s, end=e, pair=(p, q))
+        for s, e, p, q in zip((mid + tlo * u)[keep].tolist(), (mid + thi * u)[keep].tolist(),
+                              pts[i[keep]].tolist(), pts[j[keep]].tolist())
+    ]
 
 
 def _dips_below(a, edge: VoronoiEdge, level: float, sample_min: float) -> bool:

@@ -164,3 +164,65 @@ def label_mask_components(mask: np.ndarray) -> np.ndarray:
         for c in np.nonzero(mask[r])[0]:
             labels[r, c] = relabel[roots[run_id[r, c]]]
     return labels
+
+
+def voronoi_edges_reference(spectrum, bbox):
+    """All Voronoi edges of the spectrum, clipped to the bounding box.
+
+    Brute-force half-plane clipping per unordered pair: the perpendicular
+    bisector line of the pair, restricted by every other point's dominance
+    half-plane and by the box.  O(n^3), one pair and one point at a time.
+    """
+    from saddlepass.wilkinson import VoronoiEdge
+
+    pts = np.asarray(spectrum, dtype=complex).reshape(-1)
+    uniq: list[complex] = []
+    for z in pts:
+        if all(abs(z - w) > 0 for w in uniq):
+            uniq.append(complex(z))
+    if len(uniq) < 2:
+        raise ValueError("need at least 2 distinct spectrum points")
+    pts = np.array(uniq)
+    edges: list[VoronoiEdge] = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            zi, zj = pts[i], pts[j]
+            mid = 0.5 * (zi + zj)
+            d = zj - zi
+            # Direction along the bisector.
+            u = 1j * d / abs(d)
+            base = np.array([mid.real, mid.imag])
+            du = np.array([u.real, u.imag])
+            interval = bbox.line_interval(base, du)
+            if interval is None:
+                continue
+            tlo, thi = interval
+            ok = True
+            for k in range(len(pts)):
+                if k in (i, j):
+                    continue
+                zk = pts[k]
+                # |z - zi|^2 <= |z - zk|^2 is linear along the bisector line:
+                # with z = mid + t*u, it reads coef * t <= rhs.
+                coef = 2.0 * (u * (zk - zi).conjugate()).real
+                rhs = abs(zk - mid) ** 2 - abs(zi - mid) ** 2
+                if abs(coef) < 1e-15 * (1.0 + abs(rhs)):
+                    if rhs < 0:
+                        ok = False
+                        break
+                    continue
+                bound = rhs / coef
+                if coef > 0:
+                    thi = min(thi, bound)
+                else:
+                    tlo = max(tlo, bound)
+                if tlo >= thi:
+                    ok = False
+                    break
+            if not ok or thi - tlo <= 1e-12 * (1.0 + abs(d)):
+                continue
+            z0 = mid + tlo * u
+            z1 = mid + thi * u
+            edges.append(VoronoiEdge(start=complex(z0), end=complex(z1),
+                                     pair=(complex(zi), complex(zj))))
+    return edges

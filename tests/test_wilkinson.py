@@ -22,7 +22,7 @@ from saddlepass import (
 from saddlepass.errors import DegenerateSpectrumError, PreconditionError
 
 from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5, bidiagonal_10x10
-from oracles import golden_minimize
+from oracles import golden_minimize, voronoi_edges_reference
 
 
 # ------------------------------------------------------ segment minimizers
@@ -126,6 +126,47 @@ def test_voronoi_edges_sampled_point_dominance(ex_bidiag5):
             assert min(others) >= d_pair[0] - 1e-9
 
 
+def _seeded_spectrum(n):
+    rng = np.random.default_rng(n)
+    return eigenvalues(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def _lattice():
+    return (np.arange(4)[:, None] + 1j * np.arange(4)[None, :]).ravel()
+
+
+#: name -> (spectrum maker, box); no box means the inflated spectrum box.
+_EDGE_CASES = {
+    "bidiag5": (lambda: eigenvalues(bidiagonal_5x5()), None),
+    "bidiag10": (lambda: eigenvalues(bidiagonal_10x10()), None),
+    **{f"complex{n}": (partial(_seeded_spectrum, n), None) for n in (3, 12, 28, 80)},
+    # Collinear spectra: every bisector is vertical (u.real == 0 exactly),
+    # horizontal or diagonal, and every dominance row is flat.
+    "real-axis": (lambda: np.arange(8.0), None),
+    "imaginary-axis": (lambda: 1j * np.arange(8.0), None),
+    "diagonal": (lambda: (1 + 1j) * np.arange(8.0), None),
+    "duplicates": (lambda: [0, 1, 1j, 1, 2 + 1j, 0, -0j, 1j], None),
+    # Only the cells around 1.5 + 1.5j reach this box.
+    "box-missed": (_lattice, Box((1.2, 1.2), (1.8, 1.8))),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_CASES))
+def test_voronoi_edges_match_the_pairwise_reference_clipper(name):
+    make, box = _EDGE_CASES[name]
+    pts = np.asarray(make(), dtype=complex)
+    spectrum_box = wk._spectrum_box(pts, 1.0)
+    if box is not None:  # the box must miss some bisectors, not all
+        assert 0 < len(voronoi_edges_reference(pts, box)) < len(
+            voronoi_edges_reference(pts, spectrum_box))
+    box = box or spectrum_box
+    edges, ref = voronoi_edges(pts, box), voronoi_edges_reference(pts, box)
+    assert [e.pair for e in edges] == [e.pair for e in ref]
+    for e, r in zip(edges, ref):
+        assert abs(e.start - r.start) <= 1e-14 * (1.0 + abs(r.start))
+        assert abs(e.end - r.end) <= 1e-14 * (1.0 + abs(r.end))
+
+
 def test_voronoi_heuristic_identifies_bidiagonal_pair(ex_bidiag5):
     pair, seed, edge_min = voronoi_heuristic(ex_bidiag5)
     got = {complex(pair[0]), complex(pair[1])}
@@ -184,6 +225,15 @@ def test_voronoi_heuristic_matches_a_scan_of_every_edge(make):
     # value are bit-identical to minimizing over every edge in turn.
     a = make()
     assert voronoi_heuristic(a) == _scan_every_edge(a)
+
+
+@pytest.mark.parametrize("make", [c[1] for c in _HEURISTIC_CASES],
+                         ids=[c[0] for c in _HEURISTIC_CASES])
+def test_voronoi_heuristic_pair_unchanged_by_the_reference_clipper(make, monkeypatch):
+    pm = wk.prepare(make())
+    pair = voronoi_heuristic(pm)[0]
+    monkeypatch.setattr(wk, "voronoi_edges", voronoi_edges_reference)
+    assert voronoi_heuristic(pm)[0] == pair
 
 
 def test_voronoi_heuristic_prunes_most_byers_eigensolves(monkeypatch):

@@ -8,10 +8,12 @@ Each invocation runs in-process through ``saddlepass.cli.main`` of whichever
 ``saddlepass`` comes first on the path, in its own empty directory, with
 ``SystemExit`` caught.  The manifest records, per invocation, the exit code,
 the sha256 of stdout and of every file it wrote, the last line of stderr (the
-temporary directory shown as ``$TMP``), the warnings it raised, and whether
-it ended in a traceback.  The input matrices are written by this script's own
-formatter, so two checkouts read identical bytes, and the JSON is sorted and
-indented, so ``diff parent.json change.json`` lists every changed invocation.
+invocation's own directory shown as ``$OUT``, so adding a row changes no other
+row, and the temporary directory as ``$TMP``), the warnings it raised, and
+whether it ended in a traceback.  The input matrices are written by this
+script's own formatter, so two checkouts read identical bytes, and the JSON is
+sorted and indented, so ``diff parent.json change.json`` lists every changed
+invocation.
 
 Some rows replace a solver in ``saddlepass.cli`` by one that raises, to pin
 the exit code of each numerical failure class.
@@ -44,7 +46,7 @@ def _bidiagonal(diag, sup) -> np.ndarray:
 
 
 def _matrices() -> dict[str, np.ndarray]:
-    """The paper's two bidiagonal matrices and twelve seeded ones."""
+    """The paper's two bidiagonal matrices and thirteen seeded ones."""
     out = {
         "paper5": _bidiagonal(
             [0.461 + 0.650j, 0.457 + 0.983j, 0.451 + 0.553j, 0.412 + 0.400j,
@@ -71,6 +73,8 @@ def _matrices() -> dict[str, np.ndarray]:
         rng = np.random.default_rng(seed)
         out[f"unscaled-n{n}-s{seed}"] = (
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    # A real spectrum on one line: every Voronoi bisector is vertical.
+    out["triu-real-n8-s7"] = np.triu(np.random.default_rng(7).standard_normal((8, 8)))
     return out
 
 
@@ -205,7 +209,8 @@ def _run(argv, patch, workdir: Path, root: Path) -> dict:
         "traceback": traceback,
         "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
         "files": files,
-        "stderr_last": lines[-1].replace(str(root), "$TMP") if lines else "",
+        "stderr_last": (lines[-1].replace(str(workdir), "$OUT").replace(str(root), "$TMP")
+                        if lines else ""),
         "warnings": sorted({f"{w.category.__name__}: {w.message}" for w in caught}),
     }
 
