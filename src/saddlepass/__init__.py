@@ -49,7 +49,6 @@ from .linalg import (
     smallest_singular_value,
 )
 from .local_solver import (
-    DefaultSegmentOracle,
     LocalIterate,
     LocalOptions,
     LocalRun,

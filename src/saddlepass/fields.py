@@ -1,8 +1,12 @@
 """Scalar fields, search regions, and the catalog of analytic test problems.
 
-A :class:`ScalarField` is a plain evaluatable map from R^n to R.  Fields are
-pure value objects: the only mutable state is the pair of evaluation counters,
-which never influences computed values and is excluded from equality.  Counter
+A :class:`ScalarField` is an evaluatable map from R^n to R that is also its
+own solver for the four 1-D problems on segments the local iteration reduces
+to: minimize, maximize, advance to a level, and first crossing.  The methods
+here sample each segment and refine; a field with an exact 1-D solver (the
+sigma_min field of a prepared matrix) overrides them.  Fields are pure value
+objects: the only mutable state is the pair of evaluation counters, which
+never influences computed values and is excluded from equality.  Counter
 updates are plain integer increments; under concurrent use they may undercount,
 which is acceptable because nothing downstream depends on them.
 """
@@ -13,6 +17,79 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
+
+#: Uniform samples per segment for the sampled segment methods' coarse search.
+_SEGMENT_SAMPLES = 64
+
+
+# --------------------------------------------------------------------------
+# 1-D helpers on parameterized segments
+# --------------------------------------------------------------------------
+
+def _newton_polish_1d(phi, t, lo, hi, steps=3):
+    """Sharpen a 1-D minimizer with finite-difference Newton steps.
+
+    Exact for quadratics (central differences have no truncation error there),
+    which is what makes one-step convergence on pure quadratic saddles land at
+    machine precision.
+    """
+    for _ in range(steps):
+        h = 1e-6 * (1.0 + abs(t))
+        f0 = phi(t)
+        fp = phi(t + h)
+        fm = phi(t - h)
+        d1 = (fp - fm) / (2.0 * h)
+        d2 = (fp - 2.0 * f0 + fm) / (h * h)
+        if not np.isfinite(d2) or d2 <= 0.0:
+            break
+        step = -d1 / d2
+        t_new = t + step
+        if not (lo <= t_new <= hi) or not np.isfinite(t_new):
+            break
+        if phi(t_new) > f0 + 1e-15 * (1.0 + abs(f0)):
+            break
+        t = t_new
+        if abs(step) <= 1e-15 * (1.0 + abs(t)):
+            break
+    return t
+
+
+def _refine_bracket_min(phi, ts, vs, xatol=1e-13):
+    """Best sample -> bounded Brent on the bracketing neighbors -> polish."""
+    j = int(np.argmin(vs))
+    lo = ts[max(j - 1, 0)]
+    hi = ts[min(j + 1, len(ts) - 1)]
+    t_best, v_best = ts[j], vs[j]
+    if hi > lo:
+        res = minimize_scalar(phi, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        if res.fun <= v_best:
+            t_best, v_best = float(res.x), float(res.fun)
+    t_best = _newton_polish_1d(phi, t_best, ts[0], ts[-1])
+    return t_best, phi(t_best)
+
+
+class _Line:
+    """The field along the line ``origin + t * direction``."""
+
+    def __init__(self, field: ScalarField, origin: np.ndarray, direction: np.ndarray):
+        self.field = field
+        self.origin = origin
+        self.direction = direction
+
+    def at(self, t):
+        return self.origin + t * self.direction
+
+    def __call__(self, t) -> float:
+        return self.field.value(self.origin + t * self.direction)
+
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        """Field values at the parameters ``ts``, in one batched evaluation."""
+        return self.field.value_many(self.origin[None, :] + ts[:, None] * self.direction[None, :])
+
+    def root(self, level: float, a: float, b: float) -> float:
+        """A parameter in [a, b] where the field crosses ``level``."""
+        return brentq(lambda t: self(t) - level, a, b, xtol=1e-15)
 
 
 class ScalarField:
@@ -40,12 +117,12 @@ class ScalarField:
         if finite differences happen to work away from the kinks.  Diagnostics
         use this to mark gradient-based reports as not applicable.
 
-    Attributes
-    ----------
-    segments : object or None
-        The field's exact 1-D solver on segments: an object with the four
-        methods of :class:`saddlepass.local_solver.SegmentOracle`.  ``None``
-        (the default) makes the local solver sample and refine each segment.
+    The segment methods :meth:`minimize`, :meth:`maximize`,
+    :meth:`advance_limit` and :meth:`first_crossing` solve the local
+    iteration's 1-D subproblems by uniform sampling plus bisection/Brent
+    refinement.  Coarse sampling is safe there: near the saddle the field has
+    a single interior extremum or first crossing on the segments the solver
+    builds.  A subclass with an exact 1-D solver overrides all four.
     """
 
     def __init__(
@@ -65,7 +142,6 @@ class ScalarField:
         self._batch_evaluate = batch_evaluate
         self.name = name
         self.differentiable = bool(differentiable)
-        self.segments = None
         self.eval_count = 0
         self.grad_count = 0
 
@@ -94,6 +170,52 @@ class ScalarField:
         x = np.asarray(x, dtype=float).reshape(self.dimension)
         self.grad_count += 1
         return np.asarray(self._gradient(x), dtype=float).reshape(self.dimension)
+
+    def _sample(self, p, q):
+        """The segment [p, q] as a line over [0, 1], with its coarse samples."""
+        p = np.asarray(p, dtype=float)
+        line = _Line(self, p, np.asarray(q, dtype=float) - p)
+        ts = np.linspace(0.0, 1.0, _SEGMENT_SAMPLES + 1)
+        return line, ts, line.sample(ts)
+
+    def minimize(self, p, q) -> tuple[np.ndarray, float]:
+        """Minimum of the field on the segment [p, q]: (argmin, value)."""
+        line, ts, vs = self._sample(p, q)
+        t, v = _refine_bracket_min(line, ts, vs)
+        return line.at(t), float(v)
+
+    def maximize(self, p, q) -> tuple[float, np.ndarray]:
+        """Maximum of the field on the segment [p, q]: (value, argmax)."""
+        line, ts, vs = self._sample(p, q)
+        t, v = _refine_bracket_min(lambda t: -line(t), ts, -vs)
+        return float(-v), line.at(t)
+
+    def advance_limit(self, p, q, cap, slack) -> Optional[np.ndarray]:
+        """Where the field, going from p to q, first rises through ``cap``
+        on its way above ``cap + slack``; None if it never exceeds that."""
+        line, ts, vs = self._sample(p, q)
+        bad = np.nonzero(vs > cap + slack)[0]
+        if bad.size == 0:
+            return None
+        j = int(bad[0])
+        k = j - 1
+        while k > 0 and vs[k] > cap:
+            k -= 1
+        if vs[k] > cap:
+            return line.origin.copy()
+        return line.at(line.root(cap, ts[k], ts[j]))
+
+    def first_crossing(self, p, q, target) -> Optional[np.ndarray]:
+        """First point from p toward q where the field reaches ``target``
+        (p itself if it already does); None if it never does."""
+        line, ts, vs = self._sample(p, q)
+        if vs[0] >= target:
+            return line.origin.copy()
+        hit = np.nonzero(vs >= target)[0]
+        if hit.size == 0:
+            return None
+        j = int(hit[0])
+        return line.at(line.root(target, ts[j - 1], ts[j]))
 
     def __eq__(self, other):
         # Counters are deliberately excluded from equality.

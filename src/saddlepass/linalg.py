@@ -138,12 +138,26 @@ def _sigma_batch(a: np.ndarray, zs: np.ndarray, chunk: int = 4096) -> np.ndarray
     return out
 
 
-class SigmaMinField:
+class SigmaMinField(ScalarField):
     """The scalar field z -> sigma_min(A - z I) on C identified with R^2."""
 
     def __init__(self, a):
         self.matrix = as_complex_matrix(a)
         self._eye = np.eye(self.matrix.shape[0])
+
+        # The evaluators look up ``sigma_at``, ``gradient_at`` and
+        # ``_sigma_batch`` at call time, so a method or function replaced
+        # after the field was built (as a call counter does) still applies.
+        def ev(x):
+            return self.sigma_at(complex(x[0], x[1]))
+
+        def gr(x):
+            return self.gradient_at(complex(x[0], x[1]))
+
+        def ev_many(pts):
+            return _sigma_batch(self.matrix, pts[:, 0] + 1j * pts[:, 1])
+
+        super().__init__(2, ev, gr, batch_evaluate=ev_many, name="sigma-min")
 
     def sigma_at(self, z: complex) -> float:
         s = np.linalg.svd(self.matrix - complex(z) * self._eye, compute_uv=False)
@@ -158,13 +172,5 @@ class SigmaMinField:
         return np.array([-w.real, w.imag])
 
     def as_scalar_field(self) -> ScalarField:
-        def ev(x):
-            return self.sigma_at(complex(x[0], x[1]))
-
-        def gr(x):
-            return self.gradient_at(complex(x[0], x[1]))
-
-        def ev_many(pts):
-            return _sigma_batch(self.matrix, pts[:, 0] + 1j * pts[:, 1])
-
-        return ScalarField(2, ev, gr, batch_evaluate=ev_many, name="sigma-min")
+        """The field itself; a SigmaMinField is a ScalarField."""
+        return self

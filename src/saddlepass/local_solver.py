@@ -8,174 +8,29 @@ the minimizer allows.  The maximum of the field on the segment joining the
 pair is an upper bound.  Near a nondegenerate saddle of Morse index 1 both
 bounds converge superlinearly.
 
-All 1-D segment work (minimize, maximize, level crossings) goes through a
-segment oracle.  A field that has an exact 1-D solver carries it as its
-``segments`` attribute (the sigma_min field of the pseudospectral pipeline
-carries the block-eigenvalue crossing solver); any other field gets the
-default sampling-plus-refinement scheme.
+All 1-D segment work (minimize, maximize, level crossings) goes to the
+field's own segment methods.  :class:`ScalarField` samples and refines; a
+field with an exact 1-D solver overrides them (the prepared matrix of the
+pseudospectral pipeline runs the block-eigenvalue crossing test).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize as sp_minimize, minimize_scalar
+from scipy.optimize import minimize as sp_minimize
 
 from .diagnostics import fd_jacobian, gradient_of, hessian_of
 from .errors import BoundaryHitError, PreconditionError
-from .fields import Region, ScalarField
-
-#: Uniform samples per segment for the default oracle's coarse search.
-_SEGMENT_SAMPLES = 64
+from .fields import Region, ScalarField, _Line, _refine_bracket_min
 
 #: Samples per segment when snapping a closest pair to the sublevel boundary,
 #: and the cap on alternating sweeps of :func:`refine_closest_pair`.
 _PAIR_SAMPLES = 128
 _PAIR_MAX_SWEEPS = 50
-
-
-# --------------------------------------------------------------------------
-# 1-D helpers on parameterized segments
-# --------------------------------------------------------------------------
-
-def _newton_polish_1d(phi, t, lo, hi, steps=3):
-    """Sharpen a 1-D minimizer with finite-difference Newton steps.
-
-    Exact for quadratics (central differences have no truncation error there),
-    which is what makes one-step convergence on pure quadratic saddles land at
-    machine precision.
-    """
-    for _ in range(steps):
-        h = 1e-6 * (1.0 + abs(t))
-        f0 = phi(t)
-        fp = phi(t + h)
-        fm = phi(t - h)
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if not np.isfinite(d2) or d2 <= 0.0:
-            break
-        step = -d1 / d2
-        t_new = t + step
-        if not (lo <= t_new <= hi) or not np.isfinite(t_new):
-            break
-        if phi(t_new) > f0 + 1e-15 * (1.0 + abs(f0)):
-            break
-        t = t_new
-        if abs(step) <= 1e-15 * (1.0 + abs(t)):
-            break
-    return t
-
-
-def _refine_bracket_min(phi, ts, vs, xatol=1e-13):
-    """Best sample -> bounded Brent on the bracketing neighbors -> polish."""
-    j = int(np.argmin(vs))
-    lo = ts[max(j - 1, 0)]
-    hi = ts[min(j + 1, len(ts) - 1)]
-    t_best, v_best = ts[j], vs[j]
-    if hi > lo:
-        res = minimize_scalar(phi, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-        if res.fun <= v_best:
-            t_best, v_best = float(res.x), float(res.fun)
-    t_best = _newton_polish_1d(phi, t_best, ts[0], ts[-1])
-    return t_best, phi(t_best)
-
-
-class _Line:
-    """The field along the line ``origin + t * direction``."""
-
-    def __init__(self, field: ScalarField, origin: np.ndarray, direction: np.ndarray):
-        self.field = field
-        self.origin = origin
-        self.direction = direction
-
-    def at(self, t):
-        return self.origin + t * self.direction
-
-    def __call__(self, t) -> float:
-        return self.field.value(self.origin + t * self.direction)
-
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        """Field values at the parameters ``ts``, in one batched evaluation."""
-        return self.field.value_many(self.origin[None, :] + ts[:, None] * self.direction[None, :])
-
-    def root(self, level: float, a: float, b: float) -> float:
-        """A parameter in [a, b] where the field crosses ``level``."""
-        return brentq(lambda t: self(t) - level, a, b, xtol=1e-15)
-
-
-class SegmentOracle(Protocol):
-    """Exact or approximate 1-D solvers along segments in R^n."""
-
-    def minimize(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]: ...
-
-    def maximize(self, p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]: ...
-
-    def advance_limit(
-        self, p: np.ndarray, q: np.ndarray, cap: float, slack: float
-    ) -> Optional[np.ndarray]: ...
-
-    def first_crossing(
-        self, p: np.ndarray, q: np.ndarray, target: float
-    ) -> Optional[np.ndarray]: ...
-
-
-class DefaultSegmentOracle:
-    """Uniform sampling plus bisection/Brent refinement on segments.
-
-    Coarse sampling is safe here: near the saddle the field has a single
-    interior extremum or first crossing on the segments the solver builds.
-    """
-
-    def __init__(self, field: ScalarField):
-        self.field = field
-
-    def _sample(self, p, q):
-        """The segment [p, q] as a line over [0, 1], with its coarse samples."""
-        p = np.asarray(p, dtype=float)
-        line = _Line(self.field, p, np.asarray(q, dtype=float) - p)
-        ts = np.linspace(0.0, 1.0, _SEGMENT_SAMPLES + 1)
-        return line, ts, line.sample(ts)
-
-    def minimize(self, p, q):
-        line, ts, vs = self._sample(p, q)
-        t, v = _refine_bracket_min(line, ts, vs)
-        return line.at(t), float(v)
-
-    def maximize(self, p, q):
-        line, ts, vs = self._sample(p, q)
-        t, v = _refine_bracket_min(lambda t: -line(t), ts, -vs)
-        return float(-v), line.at(t)
-
-    def advance_limit(self, p, q, cap, slack):
-        line, ts, vs = self._sample(p, q)
-        bad = np.nonzero(vs > cap + slack)[0]
-        if bad.size == 0:
-            return None
-        j = int(bad[0])
-        k = j - 1
-        while k > 0 and vs[k] > cap:
-            k -= 1
-        if vs[k] > cap:
-            return line.origin.copy()
-        return line.at(line.root(cap, ts[k], ts[j]))
-
-    def first_crossing(self, p, q, target):
-        line, ts, vs = self._sample(p, q)
-        if vs[0] >= target:
-            return line.origin.copy()
-        hit = np.nonzero(vs >= target)[0]
-        if hit.size == 0:
-            return None
-        j = int(hit[0])
-        return line.at(line.root(target, ts[j - 1], ts[j]))
-
-
-def _oracle(field: ScalarField) -> SegmentOracle:
-    """The field's own segment solver, or the default sampling scheme."""
-    return DefaultSegmentOracle(field) if field.segments is None else field.segments
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +118,7 @@ def minimize_on_hyperplane(
         tlo, thi = interval
         span = thi - tlo
         if locality == "global":
-            z, fz = _oracle(field).minimize(through + tlo * u, through + thi * u)
+            z, fz = field.minimize(through + tlo * u, through + thi * u)
             t_star = float((z - through) @ u)
         else:
             t_star = _local_line_minimize(field, through, u, tlo, thi, scale=nn)
@@ -335,7 +190,7 @@ def equalize_endpoints(field: ScalarField, x0, y0) -> tuple[np.ndarray, np.ndarr
     if fx == fy:
         return x0, y0
     low, high = (x0, y0) if fx < fy else (y0, x0)
-    p = _oracle(field).first_crossing(low, high, max(fx, fy))
+    p = field.first_crossing(low, high, max(fx, fy))
     if p is None:
         raise PreconditionError("segment never attains the higher endpoint level")
     return (p, y0) if fx < fy else (x0, p)
@@ -370,7 +225,7 @@ def advance_along_segment(field: ScalarField, frm, to, cap: float) -> np.ndarray
         raise PreconditionError(f"f(from) = {f_from} exceeds cap {cap}")
     if np.array_equal(frm, to):
         return to.copy()
-    limit = _oracle(field).advance_limit(frm, to, cap, slack)
+    limit = field.advance_limit(frm, to, cap, slack)
     if limit is None:
         return to.copy()
     return limit
@@ -382,7 +237,7 @@ def segment_max(field: ScalarField, x, y) -> tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if np.array_equal(x, y):
         raise ValueError("segment endpoints must differ")
-    return _oracle(field).maximize(x, y)
+    return field.maximize(x, y)
 
 
 def _segment_crossing_pair(field, xs, ys, level, tolzero):

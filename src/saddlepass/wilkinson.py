@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NUMERICAL_FAILURES, DegenerateSpectrumError, PreconditionError
-from .fields import Box, ScalarField
+from .fields import Box
 from .linalg import (
     SegmentFrame,
     SigmaMinField,
@@ -62,6 +62,10 @@ _PULL_IN = 0.02
 
 #: Iteration cap per pair in exhaustive mode (converging pairs need few).
 _EXHAUSTIVE_MAX_ITER = 20
+
+#: Pairs per array pass of :func:`voronoi_edges`, which bounds its working
+#: memory by _CLIP_BLOCK * (n + 4) row entries (a peak of 18 MB at n = 300).
+_CLIP_BLOCK = 1024
 
 
 def _c2p(z: complex) -> np.ndarray:
@@ -157,12 +161,12 @@ def segment_maximize_sigma(a, p: complex, q: complex) -> tuple[float, complex]:
 class PreparedMatrix(SigmaMinField):
     """A validated matrix with the spectral data every entry point needs.
 
-    It is the sigma_min field of the matrix and that field's exact segment
-    solver: the four segment methods run the level-sweep extremization and
-    the block-eigenvalue crossing test on ``matrix``.  ``eigs`` are sorted as
-    :func:`eigenvalues` sorts them, ``norm`` is the spectral norm and
-    ``region`` the inflated spectrum box that bounds both the Voronoi diagram
-    and the local iteration.
+    It is the sigma_min field of the matrix with exact segment methods: its
+    overrides of the four :class:`ScalarField` segment methods run the
+    level-sweep extremization and the block-eigenvalue crossing test on
+    ``matrix``.  ``eigs`` are sorted as :func:`eigenvalues` sorts them,
+    ``norm`` is the spectral norm and ``region`` the inflated spectrum box
+    that bounds both the Voronoi diagram and the local iteration.
     """
 
     def __init__(self, a):
@@ -170,12 +174,6 @@ class PreparedMatrix(SigmaMinField):
         self.eigs = eigenvalues(self.matrix)
         self.norm = spectral_norm(self.matrix)
         self.region = _spectrum_box(self.eigs, self.norm)
-
-    def as_scalar_field(self) -> ScalarField:
-        """The sigma_min field with this matrix as its segment solver."""
-        sfield = super().as_scalar_field()
-        sfield.segments = self
-        return sfield
 
     def minimize(self, p, q):
         z, v = segment_minimize_sigma(self.matrix, _p2c(p), _p2c(q))
@@ -260,20 +258,26 @@ def prepare(a) -> PreparedMatrix:
 def voronoi_edges(spectrum, bbox: Box) -> list[VoronoiEdge]:
     """All Voronoi edges of the spectrum, clipped to the bounding box.
 
-    Half-plane clipping of every unordered pair (i, j), i < j, at once: on
-    the pair's perpendicular bisector line ``z = mid + t*u`` each other
-    point's dominance half-plane and each side of the box is a row
-    ``coef * t <= rhs``, and the edge is the interval those rows leave.
-    Exact duplicate points count once.
+    Half-plane clipping of every unordered pair (i, j), i < j, in blocks of
+    ``_CLIP_BLOCK`` pairs: on the pair's perpendicular bisector line
+    ``z = mid + t*u`` each other point's dominance half-plane and each side
+    of the box is a row ``coef * t <= rhs``, and the edge is the interval
+    those rows leave.  Exact duplicate points count once.
     """
     pts = np.array(list(dict.fromkeys(np.asarray(spectrum, dtype=complex).reshape(-1).tolist())))
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct spectrum points")
+    i, j = np.triu_indices(len(pts), 1)
+    blocks = (slice(k, k + _CLIP_BLOCK) for k in range(0, len(i), _CLIP_BLOCK))
+    return [edge for b in blocks for edge in _clip_pairs(pts, i[b], j[b], bbox)]
+
+
+def _clip_pairs(pts: np.ndarray, i: np.ndarray, j: np.ndarray, bbox: Box) -> list[VoronoiEdge]:
+    """The edges of the pairs (i[k], j[k]), each clipped on its own row."""
     # numpy's array abs, complex product and square can round differently
     # from its scalar ones; hypot, the written-out product and float_power
     # (libm pow) do not, so each edge is bit for bit that of a pair-by-pair clip.
     sq = lambda z: np.float_power(np.hypot(z.real, z.imag), 2)
-    i, j = np.triu_indices(len(pts), 1)
     mid = 0.5 * (pts[i] + pts[j])
     d = pts[j] - pts[i]
     dist = np.hypot(d.real, d.imag)
@@ -334,7 +338,9 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     a midpoint below it; otherwise it is minimized too.  The smallest value
     wins, and an exact tie goes to the edge that comes first in
     :func:`voronoi_edges` order, so the result is that of minimizing over
-    every edge in turn.
+    every edge in turn.  Mirror-image edges of a real matrix need not tie:
+    :func:`eigenvalues` does not return exact conjugates for real input, so
+    last-bit roundoff can pick either pair of a mirror image.
     """
     pm = prepare(a)
     eigs = pm.eigs
@@ -419,11 +425,10 @@ def wilkinson_local(
     """Run the local level-set iteration on sigma_min between two eigenvalues.
 
     Endpoints are pulled slightly inside the segment joining the eigenvalues
-    and equalized.  The run is on the sigma_min field of the
-    :class:`PreparedMatrix`, which is also the field's segment solver, so
-    every 1-D subproblem (bisector minimization, segment advance, segment
-    max) goes to the exact crossing-based solvers and the bisector step is
-    solved globally on its chord.
+    and equalized.  The run is on the :class:`PreparedMatrix` itself, whose
+    segment methods are exact, so every 1-D subproblem (bisector
+    minimization, segment advance, segment max) goes to the crossing-based
+    solvers and the bisector step is solved globally on its chord.
     """
     pm = prepare(a)
     opts = opts or WilkinsonOptions()
@@ -438,7 +443,7 @@ def wilkinson_local(
 
     x0 = _c2p(lam1 + _PULL_IN * (lam2 - lam1))
     y0 = _c2p(lam2 - _PULL_IN * (lam2 - lam1))
-    run = run_local(pm.as_scalar_field(), pm.region, x0, y0, opts=opts.local)
+    run = run_local(pm, pm.region, x0, y0, opts=opts.local)
     if not run.records:
         raise PreconditionError("local iteration produced no records")
     last = run.records[-1]

@@ -278,7 +278,7 @@ def _sigma_min_5x5_problem() -> TestProblem:
     x0, y0 = l1 + 0.02 * d, l2 - 0.02 * d
     return TestProblem(
         name="sigma-min-5x5",
-        field=SigmaMinField(a).as_scalar_field(),
+        field=SigmaMinField(a),
         region=Ball((mid.real, mid.imag), 0.6 * abs(d)),
         endpoints=(np.array([x0.real, x0.imag]), np.array([y0.real, y0.imag])),
     )

@@ -157,7 +157,7 @@ def test_classify_hessian_matches_differenced_gradient_at_coalescence(ex_bidiag1
     res = wilkinson_distance(ex_bidiag10, WilkinsonOptions(exhaustive=True))
     assert res.converged
     z = res.coalescence_point
-    field = SigmaMinField(ex_bidiag10).as_scalar_field()
+    field = SigmaMinField(ex_bidiag10)
     x = np.array([z.real, z.imag])
     cols = []
     for k in range(2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import saddlepass.linalg as linalg
 from saddlepass import (
     SigmaMinField,
     byers_vertical_crossings,
@@ -140,7 +141,7 @@ def test_sigma_vanishes_at_eigenvalues():
 
 
 def test_sigma_field_nonnegative_and_gradient(ex_bidiag5):
-    field = SigmaMinField(ex_bidiag5).as_scalar_field()
+    field = SigmaMinField(ex_bidiag5)
     rng = np.random.default_rng(16)
     for _ in range(25):
         x = rng.uniform(-0.5, 1.5, size=2)
@@ -160,7 +161,7 @@ def test_sigma_field_batch_equals_single_bit_for_bit(case, ex_bidiag5, ex_bidiag
         a = (rng.standard_normal((28, 28)) + 1j * rng.standard_normal((28, 28))) / np.sqrt(56)
     else:
         a = ex_bidiag5 if case == "paper5" else ex_bidiag10
-    field = SigmaMinField(a).as_scalar_field()
+    field = SigmaMinField(a)
     lam = eigenvalues(a)
     rng = np.random.default_rng(7)
     pts = np.column_stack([
@@ -169,3 +170,29 @@ def test_sigma_field_batch_equals_single_bit_for_bit(case, ex_bidiag5, ex_bidiag
     ])
     singles = np.array([field.value(p) for p in pts])
     assert np.array_equal(field.value_many(pts), singles)
+
+
+def test_sigma_field_evaluators_follow_methods_replaced_after_it_was_built(
+    monkeypatch, ex_bidiag5
+):
+    # Call counters replace SigmaMinField.sigma_at/gradient_at and
+    # linalg._sigma_batch by name, possibly after the field was built; its
+    # value, grad and value_many must still go through the replacements.
+    field = SigmaMinField(ex_bidiag5)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("sigma_at", "gradient_at"):
+        monkeypatch.setattr(SigmaMinField, name, counted(name, getattr(SigmaMinField, name)))
+    monkeypatch.setattr(linalg, "_sigma_batch", counted("_sigma_batch", linalg._sigma_batch))
+    x = np.array([0.45, 0.6])
+    assert field.value(x) == field.sigma_at(complex(0.45, 0.6))
+    field.grad(x)
+    field.value_many(np.vstack([x, x]))
+    assert calls == ["sigma_at", "sigma_at", "gradient_at", "_sigma_batch"]

@@ -377,7 +377,7 @@ def test_run_local_propagates_boundary_hit():
 def test_line_minimize_scans_each_window_in_one_batch(monkeypatch, ex_bidiag5):
     # Each 33-point window of the closest-pair line search is one batched
     # evaluation (stacked SVDs on a sigma_min field), not 33 single ones.
-    field = SigmaMinField(ex_bidiag5).as_scalar_field()
+    field = SigmaMinField(ex_bidiag5)
     sizes, singles = [], []
     value, value_many = field.value, field.value_many
 
@@ -414,23 +414,34 @@ def test_run_local_step_1a_stops_on_the_gap():
 
 
 def test_run_local_sends_every_segment_operation_to_the_fields_oracle():
-    # A field's own segment solver receives all four 1-D operations; this one
-    # delegates to the default scheme, so the run is unchanged.
+    # The field's own segment methods receive all four 1-D operations; this
+    # subclass records each call and delegates to the sampled methods, so the
+    # run is unchanged.
     calls = []
 
-    class Recording:
-        def __init__(self, field):
-            self.inner = local_solver.DefaultSegmentOracle(field)
+    class Recording(ScalarField):
+        def minimize(self, p, q):
+            calls.append("minimize")
+            return super().minimize(p, q)
 
-        def __getattr__(self, name):
-            calls.append(name)
-            return getattr(self.inner, name)
+        def maximize(self, p, q):
+            calls.append("maximize")
+            return super().maximize(p, q)
+
+        def advance_limit(self, p, q, cap, slack):
+            calls.append("advance_limit")
+            return super().advance_limit(p, q, cap, slack)
+
+        def first_crossing(self, p, q, target):
+            calls.append("first_crossing")
+            return super().first_crossing(p, q, target)
 
     prob = get_problem("double-well-curve")
     start = ([0.25, 0.7], [0.75, 0.2])  # unequal values, so equalizing crosses
     plain = run_local(prob.field, prob.region, *start)
-    field = get_problem("double-well-curve").field
-    field.segments = Recording(field)
+    f = prob.field
+    field = Recording(2, f._evaluate, f._gradient, batch_evaluate=f._batch_evaluate,
+                      name=f.name)
     run = run_local(field, prob.region, *start)
     assert set(calls) == {"first_crossing", "minimize", "advance_limit", "maximize"}
     assert run.stop_reason == plain.stop_reason and len(run.records) == len(plain.records)

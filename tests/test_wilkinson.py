@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -7,6 +8,7 @@ import pytest
 import saddlepass.wilkinson as wk
 from saddlepass import (
     Box,
+    ScalarField,
     SigmaMinField,
     WilkinsonOptions,
     eigenvalues,
@@ -139,6 +141,7 @@ def _lattice():
 _EDGE_CASES = {
     "bidiag5": (lambda: eigenvalues(bidiagonal_5x5()), None),
     "bidiag10": (lambda: eigenvalues(bidiagonal_10x10()), None),
+    # complex80 has 3160 pairs, which voronoi_edges clips in four blocks.
     **{f"complex{n}": (partial(_seeded_spectrum, n), None) for n in (3, 12, 28, 80)},
     # Collinear spectra: every bisector is vertical (u.real == 0 exactly),
     # horizontal or diagonal, and every dominance row is flat.
@@ -165,6 +168,22 @@ def test_voronoi_edges_match_the_pairwise_reference_clipper(name):
     for e, r in zip(edges, ref):
         assert abs(e.start - r.start) <= 1e-14 * (1.0 + abs(r.start))
         assert abs(e.end - r.end) <= 1e-14 * (1.0 + abs(r.end))
+
+
+def test_voronoi_edges_memory_is_bounded_by_the_clip_block():
+    # Blocks of _CLIP_BLOCK pairs keep the peak near 12 MB at n = 200; the
+    # 19900 pairs in one pass would take about 224 MB.
+    rng = np.random.default_rng(200)
+    pts = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    box = wk._spectrum_box(pts, 1.0)
+    tracemalloc.start()
+    try:
+        edges = voronoi_edges(pts, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) > 0
+    assert peak < 40e6
 
 
 def test_voronoi_heuristic_identifies_bidiagonal_pair(ex_bidiag5):
@@ -211,7 +230,11 @@ def _scan_every_edge(a):
 
 _HEURISTIC_CASES = (
     [("bidiag5", bidiagonal_5x5), ("bidiag10", bidiagonal_10x10)]
-    # Real matrices have conjugate spectra, so mirror-image edges tie exactly.
+    # Real matrices have conjugate spectra, but linalg.eigenvalues does not
+    # return exact conjugates for real input, so mirror-image edges need not
+    # tie: real10 has the real eigenvalue -1.8010347924294663 - 1.8e-15j, and
+    # its two mirror edges minimize to 0.20725987350206931 and
+    # 0.20725987350206965.  The pair these cases choose rests on such last bits.
     + [(f"real{n}", partial(_random_matrix, "real", n, 40 + n)) for n in (4, 7, 10, 13, 16)]
     + [(f"unscaled{n}", partial(_random_matrix, "unscaled", n, 60 + n)) for n in (5, 9, 12)]
     + [(f"scaled{n}", partial(_random_matrix, "scaled", n, 80 + n)) for n in range(3, 21)]
@@ -474,23 +497,21 @@ def test_pseudospectrum_grid_min_bounds_estimate(ex_bidiag5):
 
 
 def test_wilkinson_local_solves_on_the_byers_oracle(monkeypatch, ex_bidiag5):
-    # Every segment operation of the sigma_min run goes to the field's Byers
-    # oracle; the sampling scheme is never consulted.
-    from saddlepass.local_solver import DefaultSegmentOracle
-
+    # Every segment operation of the sigma_min run goes to the prepared
+    # matrix's Byers-based methods; the sampled ScalarField methods are never
+    # consulted.
     def fail(*args, **kwargs):
-        raise AssertionError("default segment oracle used")
+        raise AssertionError("sampled segment method used")
 
     for name in ("minimize", "maximize", "advance_limit", "first_crossing"):
-        monkeypatch.setattr(DefaultSegmentOracle, name, fail)
+        monkeypatch.setattr(ScalarField, name, fail)
     res = wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
     assert res.converged
     assert abs(res.epsilon_bar_estimate - BIDIAG_5X5_EPS) <= 1e-9 * BIDIAG_5X5_EPS
 
 
 def test_wilkinson_local_runs_on_the_prepared_matrix(monkeypatch, ex_bidiag5):
-    # The field handed to the local solver has the prepared matrix itself as
-    # its segment solver.
+    # The field handed to the local solver is the prepared matrix itself.
     fields = []
     run = wk.run_local
 
@@ -501,4 +522,15 @@ def test_wilkinson_local_runs_on_the_prepared_matrix(monkeypatch, ex_bidiag5):
     monkeypatch.setattr(wk, "run_local", recording)
     pm = wk.prepare(ex_bidiag5)
     wilkinson_local(pm, 0.461 + 0.650j, 0.451 + 0.553j)
-    assert len(fields) == 1 and fields[0].segments is pm
+    assert len(fields) == 1 and fields[0] is pm
+
+
+def test_sigma_min_field_is_its_own_scalar_field_with_sampled_segments(ex_bidiag5):
+    # A plain SigmaMinField keeps the sampled segment methods; only the
+    # prepared matrix swaps in the exact ones.
+    f = SigmaMinField(ex_bidiag5)
+    assert f.as_scalar_field() is f
+    assert isinstance(f, ScalarField) and f.dimension == 2 and f.name == "sigma-min"
+    for name in ("minimize", "maximize", "advance_limit", "first_crossing"):
+        assert getattr(type(f), name) is getattr(ScalarField, name)
+        assert getattr(wk.PreparedMatrix, name) is not getattr(ScalarField, name)
