@@ -9,8 +9,8 @@ non-differentiable the conditions involve normal cones rather than gradients;
 such reports are marked not applicable instead of approximating
 subdifferentials.
 
-The Hessian that :func:`classify_critical_point` reports comes from
-:func:`hessian_of`, as does the one of the closest-pair Newton polish: the
+The Hessians of :func:`classify_critical_point` and of the two Newton polishes
+(closest pair, hyperplane minimum) come from :func:`hessian_of`: the
 symmetrized central-difference Jacobian of the gradient (:func:`fd_jacobian`),
 or second differences of values for a field without a gradient.
 """

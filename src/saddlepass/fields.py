@@ -250,10 +250,6 @@ class Ball:
         x = np.asarray(x, dtype=float).reshape(-1)
         return float(np.linalg.norm(x - self.center)) <= self.radius
 
-    def contains_interior(self, x) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return float(np.linalg.norm(x - self.center)) < self.radius
-
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
 
@@ -299,10 +295,6 @@ class Box:
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
-    def contains_interior(self, x) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize as sp_minimize
 
-from .diagnostics import fd_jacobian, gradient_of, hessian_of
+from .diagnostics import gradient_of, hessian_of
 from .errors import BoundaryHitError, PreconditionError
 from .fields import Region, ScalarField, _Line, _refine_bracket_min
 
@@ -144,15 +144,13 @@ def minimize_on_hyperplane(
     res = sp_minimize(g, w0, jac=gj, method="BFGS", options={"gtol": 1e-10, "maxiter": 500})
     w = res.x
 
-    # Newton polish with a finite-difference Jacobian of the reduced gradient.
-    def rgrad(w):
-        return basis.T @ gradient_of(field, through + basis @ w)
-
+    # Newton polish with the finite-difference Hessian reduced to the hyperplane.
     gw = g(w)
     for _ in range(3):
-        gr = rgrad(w)
+        z = through + basis @ w
         try:
-            step = np.linalg.solve(fd_jacobian(rgrad, w), -gr)
+            step = np.linalg.solve(basis.T @ hessian_of(field, z) @ basis,
+                                   -basis.T @ gradient_of(field, z))
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
@@ -481,8 +479,10 @@ def run_local(
     The endpoints are first equalized in value.  Each iteration produces one
     :class:`LocalIterate`; the sequence of pair levels f(x_i) is nondecreasing
     and, on smooth nondegenerate problems, f_z and M bracket the critical
-    value.  Stops when the pair distance or the upper/lower gap is small;
-    otherwise returns with ``converged=False``.
+    value.  An iteration starts with step 1a, one :func:`refine_closest_pair`
+    sweep, when ``opts.do_step_1a`` is set or the pair distance has stalled.
+    Stops when the pair distance or the upper/lower gap is small; otherwise
+    returns with ``converged=False``.
     """
     opts = opts or LocalOptions()
     x, y = equalize_endpoints(field, x0, y0)
@@ -495,10 +495,15 @@ def run_local(
     last_refine = -10
 
     for i in range(1, opts.max_iter + 1):
-        if opts.do_step_1a:
+        # Step 1a on demand: less than 1% pair-distance progress over the last
+        # 3 iterations, at least 3 iterations after the last sweep.
+        stalled = (i - last_refine >= 3 and len(dists) >= 4
+                   and dists[-4] - dists[-1] < 0.01 * dists[-4])
+        if opts.do_step_1a or stalled:
             x, y = refine_closest_pair(
                 field, region, x, y, field.value(x), point_tol=opts.point_tol
             )
+            last_refine = i
         z, f_z = bisector_minimize(field, region, x, y)
         slack = 1e-12 * (1.0 + abs(f_z))
         if field.value(x) > f_z + slack:
@@ -530,15 +535,6 @@ def run_local(
             converged = True
             reason = "gap_tol"
             break
-
-        # Stall detector: less than 1% pair-distance progress over 3 iterations
-        # triggers one closest-pair refinement sweep (step 1a on demand).
-        if not opts.do_step_1a and i - last_refine >= 3 and len(dists) >= 4:
-            if dists[-4] - dists[-1] < 0.01 * dists[-4]:
-                x, y = refine_closest_pair(
-                    field, region, x, y, field.value(x), point_tol=opts.point_tol
-                )
-                last_refine = i
 
     return LocalRun(initial_pair=initial_pair, records=records, converged=converged, stop_reason=reason)
 

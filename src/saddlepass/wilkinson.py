@@ -216,7 +216,7 @@ class PreparedMatrix(SigmaMinField):
         pieces = _level_intervals(frame, target, ell * (1 + 1e-12))[:-1]
         for lo, hi in pieces:
             if g(0.5 * (lo + hi)) > target:
-                return _c2p(frame.point_at(lo)) if lo > 0 else _c2p(frame.point_at(hi))
+                return _c2p(frame.point_at(lo))
         return _c2p(frame.point_at(pieces[0][1])) if pieces else None
 
 
@@ -461,67 +461,55 @@ def wilkinson_local(
     )
 
 
-def _degenerate_result(m: np.ndarray, lam: complex) -> WilkinsonResult:
-    return WilkinsonResult(
-        matrix=m,
-        chosen_pair=(lam, lam),
-        coalescence_point=lam,
-        epsilon_bar_estimate=0.0,
-        records=[],
-        converged=True,
-        perturbation=np.zeros_like(m),
-    )
-
-
 def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonResult:
     """Estimate the Wilkinson distance of a matrix.
 
-    Runs the Voronoi heuristic to pick an eigenvalue pair, then the local
-    solver on that pair.  With ``opts.exhaustive`` every eigenvalue pair is
-    tried and the smallest converged estimate is returned, covering the known
-    failure mode of the heuristic; a pair whose solve fails is recorded in
-    ``pair_scan`` with its error.  If no pair converges, the heuristic pair's
-    result is returned, or its error raised.  The result is a local estimate,
-    not a certificate of the global distance.
+    Runs the Voronoi heuristic to pick an eigenvalue pair, then one loop of
+    local solves over eigenvalue pairs, and returns the smallest converged
+    estimate.  By default the loop sees only the heuristic pair.  With
+    ``opts.exhaustive`` it sees every pair, nearest first, which covers the
+    known failure mode of the heuristic; the pairs other than the heuristic
+    one run at most ``_EXHAUSTIVE_MAX_ITER`` iterations, and every pair is
+    recorded in ``pair_scan``, a failed solve with its error.  If no pair
+    converges, the heuristic pair's result is returned, or its error raised.
+    The result is a local estimate, not a certificate of the global distance.
     """
     pm = prepare(a)
     opts = opts or WilkinsonOptions()
     try:
         pair, _, _ = voronoi_heuristic(pm)
     except DegenerateSpectrumError as err:
-        return _degenerate_result(pm.matrix, err.eigenvalue)
+        lam = err.eigenvalue
+        return WilkinsonResult(
+            matrix=pm.matrix,
+            chosen_pair=(lam, lam),
+            coalescence_point=lam,
+            epsilon_bar_estimate=0.0,
+            records=[],
+            converged=True,
+            perturbation=np.zeros_like(pm.matrix),
+        )
 
-    if not opts.exhaustive:
-        result = wilkinson_local(pm, pair[0], pair[1], opts)
-        result.heuristic_pair = pair
-        result.heuristic_epsilon = result.epsilon_bar_estimate
-        return result
-
-    def attempt(li, lj, local_opts):
-        try:
-            return wilkinson_local(pm, li, lj, local_opts)
-        except (*NUMERICAL_FAILURES, ValueError) as err:
-            return err
-
-    heuristic = attempt(pair[0], pair[1], opts)
-
-    eigs = pm.eigs
-    pairs = [
-        (abs(eigs[i] - eigs[j]), i, j)
-        for i in range(len(eigs))
-        for j in range(i + 1, len(eigs))
-    ]
-    pairs.sort(key=lambda t: t[0])
+    pairs = [pair]
+    if opts.exhaustive:
+        eigs = pm.eigs
+        # Scalar abs: numpy's array abs can round the distances differently.
+        order = sorted(((i, j) for i in range(len(eigs)) for j in range(i + 1, len(eigs))),
+                       key=lambda ij: abs(eigs[ij[0]] - eigs[ij[1]]))
+        pairs = [(complex(eigs[i]), complex(eigs[j])) for i, j in order]
 
     scan_opts = replace(opts, local=replace(opts.local, max_iter=_EXHAUSTIVE_MAX_ITER))
     scan: list[dict] = []
     converged: list[WilkinsonResult] = []
-    for _, i, j in pairs:
-        li, lj = complex(eigs[i]), complex(eigs[j])
-        if (li, lj) == pair or (lj, li) == pair:
-            entry = heuristic
-        else:
-            entry = attempt(li, lj, scan_opts)
+    for li, lj in pairs:
+        is_heuristic = (li, lj) in (pair, pair[::-1])
+        try:
+            entry = (wilkinson_local(pm, pair[0], pair[1], opts) if is_heuristic
+                     else wilkinson_local(pm, li, lj, scan_opts))
+        except (*NUMERICAL_FAILURES, ValueError) as err:
+            entry = err
+        if is_heuristic:
+            heuristic = entry
         if isinstance(entry, Exception):
             scan.append({"pair": (li, lj), "epsilon": None, "converged": False,
                          "error": str(entry)})
@@ -539,7 +527,7 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     best.heuristic_epsilon = (
         None if isinstance(heuristic, Exception) else heuristic.epsilon_bar_estimate
     )
-    best.pair_scan = scan
+    best.pair_scan = scan if opts.exhaustive else None
     return best
 
 

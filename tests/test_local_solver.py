@@ -19,7 +19,7 @@ from saddlepass import (
     segment_max,
 )
 from saddlepass import local_solver
-from saddlepass.diagnostics import fd_jacobian
+from saddlepass.diagnostics import hessian_of
 from saddlepass.errors import PreconditionError
 from saddlepass.local_solver import _pair_kkt_polish, minimize_on_hyperplane
 
@@ -229,12 +229,12 @@ def test_hyperplane_newton_polish_evaluates_the_field_once_per_step(monkeypatch)
         marks["after_descent"] = field.eval_count
         return res
 
-    def jacobian(fn, w):
+    def hessian(f, z):
         marks["steps"] = marks.get("steps", 0) + 1
-        return fd_jacobian(fn, w)
+        return hessian_of(f, z)
 
     monkeypatch.setattr(local_solver, "sp_minimize", descent)
-    monkeypatch.setattr(local_solver, "fd_jacobian", jacobian)
+    monkeypatch.setattr(local_solver, "hessian_of", hessian)
     minimize_on_hyperplane(field, Ball((0, 0, 0), 4.0), np.array([0.3, 0.2, 0.5]),
                            np.array([0.2, 0.1, 1.0]))
     polish_evals = field.eval_count - marks["after_descent"] - 1  # minus the returned value
@@ -317,6 +317,28 @@ def test_run_local_max_iter_flag():
                     opts=LocalOptions(max_iter=2))
     assert not run.converged and run.stop_reason == "max_iter"
     assert len(run.records) == 2
+
+
+@pytest.mark.parametrize("max_iter, refinements", [(4, 0), (5, 1)])
+def test_run_local_refines_a_stalled_pair_only_before_an_iteration(
+    monkeypatch, max_iter, refinements
+):
+    # The double-well run stalls after its fourth iteration.  With a fifth to
+    # come, one closest-pair sweep runs before it; when the fourth is the
+    # last, the run stops at max_iter without a sweep.
+    calls = []
+
+    def refine(*args, **kwargs):
+        calls.append(args)
+        return refine_closest_pair(*args, **kwargs)
+
+    monkeypatch.setattr(local_solver, "refine_closest_pair", refine)
+    prob = get_problem("double-well-curve")
+    run = run_local(prob.field, prob.region, *prob.endpoints,
+                    opts=LocalOptions(max_iter=max_iter))
+    assert len(run.records) == max_iter
+    assert run.stop_reason == ("max_iter" if max_iter == 4 else "point_tol")
+    assert len(calls) == refinements
 
 
 def test_run_local_one_dimensional_cusp():

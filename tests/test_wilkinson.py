@@ -12,6 +12,7 @@ from saddlepass import (
     SigmaMinField,
     WilkinsonOptions,
     eigenvalues,
+    equalize_endpoints,
     nearest_defective_perturbation,
     pseudospectrum_grid,
     segment_minimize_sigma,
@@ -292,6 +293,21 @@ def test_wilkinson_local_bidiagonal_value_and_pair_distance(ex_bidiag5):
     assert abs(sig - res.epsilon_bar_estimate) <= 1e-12 * (1.0 + sig)
 
 
+def test_equalize_keeps_the_pulled_in_conjugate_pair_apart():
+    # For a real matrix the pulled-in endpoints of a conjugate pair differ in
+    # sigma only by roundoff, and Byers finds no crossing that close to the
+    # lower one; its first crossing of the higher level is the lower point
+    # itself, not the far end of the segment.
+    n = 20
+    pm = wk.prepare(np.random.default_rng(107).standard_normal((n, n)) / np.sqrt(n))
+    (l1, l2), _, _ = voronoi_heuristic(pm)
+    assert abs(l1 - l2.conjugate()) <= 1e-12  # conjugates up to roundoff
+    x0 = wk._c2p(l1 + wk._PULL_IN * (l2 - l1))
+    y0 = wk._c2p(l2 - wk._PULL_IN * (l2 - l1))
+    x, y = equalize_endpoints(pm, x0, y0)
+    assert np.linalg.norm(x - y) >= 0.5 * np.linalg.norm(x0 - y0)
+
+
 def test_wilkinson_local_normal_two_point():
     res = wilkinson_local(np.diag([0.0, 2.0]).astype(complex), 0.0, 2.0)
     assert abs(res.coalescence_point - 1.0) <= 1e-9
@@ -425,15 +441,30 @@ def test_exhaustive_scan_builds_one_sigma_min_field(monkeypatch, ex_bidiag5):
     assert built == ["PreparedMatrix"]
 
 
-def test_exhaustive_mode_raises_the_heuristic_error_when_no_pair_converges(
-    monkeypatch, ex_bidiag5
-):
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["default", "exhaustive"])
+def test_heuristic_error_raised_when_no_pair_converges(monkeypatch, ex_bidiag5, exhaustive):
+    errors = []
+
     def fail(*args, **kwargs):
-        raise PreconditionError("no feasible start")
+        errors.append(PreconditionError("no feasible start"))
+        raise errors[-1]
 
     monkeypatch.setattr(wk, "run_local", fail)
-    with pytest.raises(PreconditionError, match="no feasible start"):
-        wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
+    with pytest.raises(PreconditionError, match="no feasible start") as raised:
+        wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=exhaustive))
+    assert raised.value in errors  # the heuristic pair's own error object
+
+
+def test_default_mode_is_the_heuristic_pair_of_the_exhaustive_scan(ex_bidiag10):
+    # Both modes run the heuristic pair with the caller's options; only the
+    # exhaustive scan records the pairs it tried.
+    default = wilkinson_distance(ex_bidiag10)
+    scan = wilkinson_distance(ex_bidiag10, WilkinsonOptions(exhaustive=True))
+    assert default.epsilon_bar_estimate == scan.heuristic_epsilon
+    assert default.heuristic_epsilon == scan.heuristic_epsilon
+    assert default.heuristic_pair == scan.heuristic_pair
+    assert default.chosen_pair == default.heuristic_pair
+    assert default.pair_scan is None
 
 
 # ------------------------------------------------------------ perturbation

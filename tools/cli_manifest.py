@@ -167,6 +167,12 @@ def _invocations(matrices) -> list[tuple[str, list[str], object]]:
         ("not-converged", ["solve-local", "--problem", "double-well-curve",
                            "--max-iter", "1"], None),
     ]
+    # Step 1a on the exact sigma_min field, which no row above runs.
+    rows += [(f"wilkinson-step1a-{name}",
+              ["wilkinson", "--matrix", f"{{in}}/{name}.txt", "--step1a"], None)
+             for name in ("paper5", "paper10", "real-n10-s1", "scaled-n8-s1")]
+    rows.append(("wilkinson-exhaustive-step1a-paper5",
+                 ["wilkinson", "--matrix", m5, "--exhaustive", "--step1a"], None))
     return rows
 
 
