@@ -23,16 +23,12 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import PreconditionError, ResolutionLimitError, UnsupportedDimensionError
+from .errors import (PreconditionError, ResolutionLimitError, UnsupportedDimensionError,
+                     require_finite_positive)
 from .fields import Ball, Region, ScalarField, TestProblem
 from .local_solver import pair_path, refine_closest_pair, segment_max
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-
-def _check_resolution(h) -> None:
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"resolution must be a finite positive number, got {h}")
 
 
 @dataclass
@@ -45,7 +41,7 @@ class ComponentQuery:
     resolution: float
 
     def __post_init__(self):
-        _check_resolution(self.resolution)
+        require_finite_positive("resolution", self.resolution)
 
 
 @dataclass
@@ -79,13 +75,17 @@ class _Samples:
             low, up = region.bounding_box()
             self.inside = (gx >= low[0]) & (gx <= up[0]) & (gy >= low[1]) & (gy <= up[1])
 
-    def cell_of(self, p) -> tuple[int, int]:
-        ix = int(np.clip((p[0] - self.origin[0]) / self.h, 0, self.nx - 1))
-        iy = int(np.clip((p[1] - self.origin[1]) / self.h, 0, self.ny - 1))
+    def cell_of(self, x, y):
+        """Row and column indices of the cells holding the points (x, y), for
+        broadcastable arrays; points outside the box go to its edge cells."""
+        ix = np.clip((x - self.origin[0]) / self.h, 0, self.nx - 1).astype(int)
+        iy = np.clip((y - self.origin[1]) / self.h, 0, self.ny - 1).astype(int)
         return iy, ix
 
-    def center(self, iy: int, ix: int) -> np.ndarray:
-        return np.array([self.xs[ix], self.ys[iy]])
+    def points(self, mask) -> np.ndarray:
+        """Centers of the cells where ``mask`` is set, in row-major order."""
+        iy, ix = np.nonzero(mask)
+        return np.column_stack([self.xs[ix], self.ys[iy]])
 
 
 def _region_samples(q: ComponentQuery) -> _Samples:
@@ -106,31 +106,26 @@ class _Grid:
         in-set cell in a 5x5 neighborhood when p's own cell center fails the
         level test (the cell still contains sublevel points by precondition)."""
         s = self.samples
-        iy, ix = s.cell_of(p)
+        p = np.asarray(p, dtype=float)
+        iy, ix = s.cell_of(p[0], p[1])
         if self.labels[iy, ix] > 0:
             return int(self.labels[iy, ix])
-        best = None
-        for dy in range(-2, 3):
-            for dx in range(-2, 3):
-                jy, jx = iy + dy, ix + dx
-                if 0 <= jy < s.ny and 0 <= jx < s.nx and self.labels[jy, jx] > 0:
-                    d = float(np.linalg.norm(s.center(jy, jx) - np.asarray(p, dtype=float)))
-                    key = (d, jy, jx)
-                    if best is None or key < best[0]:
-                        best = (key, int(self.labels[jy, jx]))
-        if best is None:
+        near = [(float(np.linalg.norm(np.array([s.xs[jx], s.ys[jy]]) - p)), jy, jx)
+                for jy in range(iy - 2, iy + 3) for jx in range(ix - 2, ix + 3)
+                if 0 <= jy < s.ny and 0 <= jx < s.nx and self.labels[jy, jx] > 0]
+        if not near:
             raise ResolutionLimitError(
                 "cannot localize an endpoint's component at the current grid spacing"
             )
-        return best[1]
+        _, jy, jx = min(near)
+        return int(self.labels[jy, jx])
 
     def component_cells(self, label: int) -> np.ndarray:
         comp = self.labels == label
         boundary = comp & ~ndimage.binary_erosion(comp, structure=_CROSS, border_value=0)
         if not boundary.any():
             boundary = comp
-        iy, ix = np.nonzero(boundary)
-        return np.column_stack([self.samples.xs[ix], self.samples.ys[iy]])
+        return self.samples.points(boundary)
 
 
 def _validate_query_point(q: ComponentQuery, p, name: str) -> np.ndarray:
@@ -162,16 +157,12 @@ def _refine_window(q: ComponentQuery, grid: _Grid, la: int, lb: int, pa, pb):
     center = 0.5 * (np.asarray(pa) + np.asarray(pb))
     half = 8.0 * q.resolution
     blo, bhi = q.region.bounding_box()
-    fine = _Grid(_Samples(q.field, q.region, q.resolution / 4.0,
-                          np.maximum(center - half, blo), np.minimum(center + half, bhi)),
-                 q.level)
-    gx, gy = np.meshgrid(fine.samples.xs, fine.samples.ys)
+    fs = _Samples(q.field, q.region, q.resolution / 4.0,
+                  np.maximum(center - half, blo), np.minimum(center + half, bhi))
+    fine = _Grid(fs, q.level)
 
     # Coarse label carried by each refined cell.
-    c = grid.samples
-    cix = np.clip(((gx - c.origin[0]) / c.h).astype(int), 0, c.nx - 1)
-    ciy = np.clip(((gy - c.origin[1]) / c.h).astype(int), 0, c.ny - 1)
-    tags = grid.labels[ciy, cix]
+    tags = grid.labels[grid.samples.cell_of(fs.xs[None, :], fs.ys[:, None])]
 
     for lab in range(1, fine.nlabels + 1):
         t = tags[fine.labels == lab]
@@ -182,9 +173,7 @@ def _refine_window(q: ComponentQuery, grid: _Grid, la: int, lb: int, pa, pb):
     side_b = fine.mask & (tags == lb)
     if not side_a.any() or not side_b.any():
         return False, None
-    ia = np.column_stack([gx[side_a], gy[side_a]])
-    ib = np.column_stack([gx[side_b], gy[side_b]])
-    return False, _closest_points(ia, ib)[:2]
+    return False, _closest_points(fs.points(side_a), fs.points(side_b))[:2]
 
 
 def _analyze(q: ComponentQuery, a, b, samples: Optional[_Samples] = None):
@@ -254,14 +243,12 @@ class BisectionOptions:
     resolution: Optional[float] = None
 
     def __post_init__(self):
-        if not self.value_tol > 0 or not self.point_tol > 0:
-            raise ValueError("tolerances must be positive")
-        if not (math.isfinite(self.value_tol) and math.isfinite(self.point_tol)):
-            raise ValueError("tolerances must be finite")
+        require_finite_positive("value_tol", self.value_tol)
+        require_finite_positive("point_tol", self.point_tol)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.resolution is not None:
-            _check_resolution(self.resolution)
+            require_finite_positive("resolution", self.resolution)
 
 
 @dataclass

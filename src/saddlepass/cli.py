@@ -33,7 +33,6 @@ from .fields import builtin_problems, get_problem
 from .local_solver import LocalOptions, run_local
 from .wilkinson import (
     WilkinsonOptions,
-    default_psgrid_box,
     pseudospectrum_grid,
     wilkinson_distance,
 )
@@ -191,9 +190,7 @@ def cmd_wilkinson(args) -> int:
 
 def cmd_psgrid(args) -> int:
     matrix = matrixio.read_matrix(args.matrix)
-    nx, ny = args.grid
-    box = tuple(args.box) if args.box else default_psgrid_box(matrix)
-    grid = pseudospectrum_grid(matrix, box, nx, ny)
+    grid = pseudospectrum_grid(matrix, tuple(args.box) if args.box else None, *args.grid)
     lines = ["x,y,sigma"]
     for iy in range(grid.ys.size):
         for ix in range(grid.xs.size):

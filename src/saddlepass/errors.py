@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def require_finite_positive(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and positive."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
 class UnsupportedDimensionError(ValueError):

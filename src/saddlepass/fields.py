@@ -19,22 +19,26 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-#: Uniform samples per segment for the sampled segment methods' coarse search.
+#: Uniform samples per segment for the sampled segment methods' coarse search,
+#: then the bounded Brent search's absolute tolerance on the best sample's
+#: bracket and the finite-difference Newton steps that polish its result.
 _SEGMENT_SAMPLES = 64
+_XATOL = 1e-13
+_NEWTON_STEPS = 3
 
 
 # --------------------------------------------------------------------------
 # 1-D helpers on parameterized segments
 # --------------------------------------------------------------------------
 
-def _newton_polish_1d(phi, t, lo, hi, steps=3):
+def _newton_polish_1d(phi, t, lo, hi):
     """Sharpen a 1-D minimizer with finite-difference Newton steps.
 
     Exact for quadratics (central differences have no truncation error there),
     which is what makes one-step convergence on pure quadratic saddles land at
     machine precision.
     """
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         h = 1e-6 * (1.0 + abs(t))
         f0 = phi(t)
         fp = phi(t + h)
@@ -55,14 +59,14 @@ def _newton_polish_1d(phi, t, lo, hi, steps=3):
     return t
 
 
-def _refine_bracket_min(phi, ts, vs, xatol=1e-13):
+def _refine_bracket_min(phi, ts, vs):
     """Best sample -> bounded Brent on the bracketing neighbors -> polish."""
     j = int(np.argmin(vs))
     lo = ts[max(j - 1, 0)]
     hi = ts[min(j + 1, len(ts) - 1)]
     t_best, v_best = ts[j], vs[j]
     if hi > lo:
-        res = minimize_scalar(phi, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        res = minimize_scalar(phi, bounds=(lo, hi), method="bounded", options={"xatol": _XATOL})
         if res.fun <= v_best:
             t_best, v_best = float(res.x), float(res.fun)
     t_best = _newton_polish_1d(phi, t_best, ts[0], ts[-1])
@@ -242,10 +246,6 @@ class Ball:
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
 
-    @property
-    def dimension(self) -> int:
-        return self.center.size
-
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
         return float(np.linalg.norm(x - self.center)) <= self.radius
@@ -287,10 +287,6 @@ class Box:
             raise ValueError("lower and upper must have the same shape")
         if not np.all(self.lower < self.upper):
             raise ValueError("lower must be strictly below upper componentwise")
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.size
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)

@@ -16,7 +16,6 @@ pseudospectral pipeline runs the block-eigenvalue crossing test).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,13 +23,15 @@ import numpy as np
 from scipy.optimize import minimize as sp_minimize
 
 from .diagnostics import gradient_of, hessian_of
-from .errors import BoundaryHitError, PreconditionError
+from .errors import BoundaryHitError, PreconditionError, require_finite_positive
 from .fields import Region, ScalarField, _Line, _refine_bracket_min
 
 #: Samples per segment when snapping a closest pair to the sublevel boundary,
-#: and the cap on alternating sweeps of :func:`refine_closest_pair`.
+#: the cap on alternating sweeps of :func:`refine_closest_pair`, and the
+#: Newton steps of its final :func:`_pair_kkt_polish`.
 _PAIR_SAMPLES = 128
 _PAIR_MAX_SWEEPS = 50
+_KKT_POLISH_STEPS = 8
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +266,7 @@ def _segment_crossing_pair(field, xs, ys, level, tolzero):
     return line.at(t1), line.at(t2)
 
 
-def _pair_kkt_polish(field, region, x, y, level, steps=8):
+def _pair_kkt_polish(field, region, x, y, level):
     """Newton polish of the closest-pair first-order system.
 
     Solves grad f(x) = k1 (y - x), grad f(y) = k2 (x - y), f(x) = f(y) = level
@@ -291,7 +292,7 @@ def _pair_kkt_polish(field, region, x, y, level, steps=8):
         )
 
     r = residual(x, y, k1, k2, gx, gy)
-    for _ in range(steps):
+    for _ in range(_KKT_POLISH_STEPS):
         nr = float(np.linalg.norm(r))
         if nr <= 1e-13 * (1.0 + abs(level)):
             break
@@ -432,12 +433,8 @@ class LocalOptions:
     do_step_1a: bool = False
 
     def __post_init__(self):
-        for name in ("point_tol", "gap_tol"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite_positive("point_tol", self.point_tol)
+        require_finite_positive("gap_tol", self.gap_tol)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -476,13 +473,15 @@ def run_local(
 ) -> LocalRun:
     """Run the fast local level-set iteration from a pair of endpoints.
 
-    The endpoints are first equalized in value.  Each iteration produces one
-    :class:`LocalIterate`; the sequence of pair levels f(x_i) is nondecreasing
-    and, on smooth nondegenerate problems, f_z and M bracket the critical
-    value.  An iteration starts with step 1a, one :func:`refine_closest_pair`
-    sweep, when ``opts.do_step_1a`` is set or the pair distance has stalled.
-    Stops when the pair distance or the upper/lower gap is small; otherwise
-    returns with ``converged=False``.
+    The endpoints are first equalized in value.  They need not lie in
+    ``region``, which bounds only the bisector chords (a chord's midpoint
+    must lie in it) and the step-1a hyperplanes (through the pair itself).
+    Each iteration produces one :class:`LocalIterate`; the sequence of pair
+    levels f(x_i) is nondecreasing and, on smooth nondegenerate problems,
+    f_z and M bracket the critical value.  An iteration starts with step 1a,
+    one :func:`refine_closest_pair` sweep, when ``opts.do_step_1a`` is set
+    or the pair distance has stalled.  Stops when the pair distance or the
+    upper/lower gap is small; otherwise returns with ``converged=False``.
     """
     opts = opts or LocalOptions()
     x, y = equalize_endpoints(field, x0, y0)

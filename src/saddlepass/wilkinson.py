@@ -119,11 +119,9 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
 
     stall = 0
     for _ in range(_MAX_SWEEPS):
-        if best <= 0.0 and mode == "min":
+        if best <= 0.0:
             break
         eps = best * (1.0 + sign * _LEVEL_INFLATION)
-        if eps <= 0.0:
-            break
         improved = False
         max_active = 0.0
         for lo, hi in _level_intervals(frame, eps, ell):
@@ -138,12 +136,9 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
                 improved = True
         if max_active <= 1e-12 * ell:
             break
-        if not improved:
-            stall += 1
-            if stall >= 2:
-                break
-        else:
-            stall = 0
+        stall = 0 if improved else stall + 1
+        if stall >= 2:
+            break
     return frame.point_at(best_y), float(best)
 
 
@@ -354,7 +349,7 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     # One stack of samples per edge: stacking every edge at once costs memory.
     t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
     sample_min = [
-        float(_sigma_batch(pm.matrix, e.start + t * (e.end - e.start), _EDGE_SAMPLES).min())
+        float(_sigma_batch(pm.matrix, e.start + t * (e.end - e.start)).min())
         for e in edges
     ]
     best = None  # (v, edge index, z)
@@ -546,22 +541,18 @@ class PseudospectrumGrid:
 
 
 def pseudospectrum_grid(a, bbox, nx: int, ny: int) -> PseudospectrumGrid:
-    """Sample sigma_min(A - z I) on an nx-by-ny grid over bbox = (x0, y0, x1, y1)."""
-    m = as_complex_matrix(a)
+    """Sample sigma_min(A - z I) on an nx-by-ny grid over bbox = (x0, y0, x1, y1),
+    or over the prepared matrix's region (the local solver's) when bbox is None."""
+    pm = prepare(a)
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
+    if bbox is None:
+        bbox = (*pm.region.lower, *pm.region.upper)
     x0, y0, x1, y1 = (float(v) for v in bbox)
     if not (x1 > x0 and y1 > y0 and np.all(np.isfinite((x0, y0, x1, y1)))):
         raise ValueError(f"invalid box {bbox}")
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     gx, gy = np.meshgrid(xs, ys)
-    zs = gx.ravel() + 1j * gy.ravel()
-    sigma = _sigma_batch(m, zs).reshape(ny, nx)
+    sigma = pm.value_many(np.column_stack([gx.ravel(), gy.ravel()])).reshape(ny, nx)
     return PseudospectrumGrid(xs=xs, ys=ys, sigma=sigma, bbox=(x0, y0, x1, y1))
-
-
-def default_psgrid_box(a) -> tuple[float, float, float, float]:
-    """Spectrum bounding box inflated the same way the local solver's region is."""
-    box = prepare(a).region
-    return (box.lower[0], box.lower[1], box.upper[0], box.upper[1])

@@ -214,6 +214,12 @@ def test_bisect_rejects_inverted_bounds_and_wrong_dimension():
         bisect(get_problem("sqrt-cusp"))
 
 
+def test_bisect_rejects_a_lower_bound_below_the_endpoint_values():
+    # f = -1 at both endpoints, so -5 is not a valid lower bound.
+    with pytest.raises(ValueError, match=r"init_lower must be at least max\(f\(a\), f\(b\)\)"):
+        bisect(QS, init_lower=-5.0)
+
+
 # ------------------------------------------------------------------- paths
 
 def test_assemble_path_one_advancing_iteration():

@@ -34,6 +34,8 @@ def test_sigma_min_input_validation():
         smallest_singular_value(np.ones((2, 3)))
     with pytest.raises(ValueError):
         smallest_singular_value(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="matrix must be nonempty"):
+        smallest_singular_value(np.zeros((0, 0)))
 
 
 def test_eigenvalues_upper_triangular():

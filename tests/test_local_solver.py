@@ -198,7 +198,7 @@ def test_refine_never_lengthens_the_pair():
         assert f.value(x) <= level + 1e-9 and f.value(y) <= level + 1e-9
 
 
-def test_pair_kkt_polish_evaluates_each_gradient_once_per_step():
+def test_pair_kkt_polish_evaluates_each_gradient_once_per_step(monkeypatch):
     # Each Newton step of the closest-pair polish takes 2n gradients per
     # finite-difference Hessian and one gradient at each new point; the
     # gradients at the current pair come from the residual, not a recount.
@@ -206,9 +206,10 @@ def test_pair_kkt_polish_evaluates_each_gradient_once_per_step():
     n = field.dimension
     counts = []
     for steps in (0, 1):
+        monkeypatch.setattr(local_solver, "_KKT_POLISH_STEPS", steps)
         before = field.grad_count
         _pair_kkt_polish(field, QS.region, np.array([0.05, -0.2]), np.array([-0.05, 0.2]),
-                         -0.04, steps=steps)
+                         -0.04)
         counts.append(field.grad_count - before)
     assert counts[0] == 2
     assert counts[1] - counts[0] == 4 * n + 2
@@ -394,6 +395,33 @@ def test_run_local_propagates_boundary_hit():
     with pytest.raises(BoundaryHitError) as info:
         run_local(f, Ball((0, 0), 1.5), [0.0, -1.0], [0.0, 1.0])
     assert abs(np.linalg.norm(info.value.point) - 1.5) <= 1e-9
+
+
+def test_hyperplane_minimizer_outside_the_ball_is_clamped_to_its_boundary():
+    # On the plane x3 = 0 the minimizer of (x1 - 3)^2 + x2^2 - x3^2 is (3, 0, 0),
+    # outside the unit ball; the hit is reported where the straight path from
+    # the base point leaves the ball.
+    from saddlepass.errors import BoundaryHitError
+
+    f = ScalarField(
+        3, lambda x: float((x[0] - 3.0) ** 2 + x[1] ** 2 - x[2] ** 2),
+        lambda x: np.array([2.0 * (x[0] - 3.0), 2.0 * x[1], -2.0 * x[2]]),
+    )
+    with pytest.raises(BoundaryHitError) as info:
+        minimize_on_hyperplane(f, Ball((0, 0, 0), 1.0), np.array([0.2, 0.0, 0.0]),
+                               np.array([0.0, 0.0, 1.0]))
+    assert np.allclose(info.value.point, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-9)
+
+
+def test_run_local_accepts_endpoints_outside_its_region():
+    # Only the bisector chord has to meet the region: from (0, -1) and (0, 1)
+    # the chord through (0, 0) of a radius-0.5 ball holds the saddle, and both
+    # endpoints advance onto it in one iteration.
+    run = run_local(QS.field, Ball((0, 0), 0.5), [0.0, -1.0], [0.0, 1.0])
+    assert run.converged and run.stop_reason == "point_tol"
+    assert len(run.records) == 1
+    assert np.array_equal(run.records[0].x, [0.0, 0.0])
+    assert np.array_equal(run.records[0].y, [0.0, 0.0])
 
 
 def test_line_minimize_scans_each_window_in_one_batch(monkeypatch, ex_bidiag5):

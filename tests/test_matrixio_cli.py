@@ -257,19 +257,19 @@ def test_cli_non_finite_matrix_is_input_error(tmp_path, capsys, command, extra):
     "argv, message",
     [
         (["solve-local", "--problem", "quadratic-saddle", "--tol-gap", "-1"],
-         "gap_tol must be positive"),
-        (["wilkinson", "--tol-point", "0"], "point_tol must be positive"),
+         "gap_tol must be a finite positive number, got -1.0"),
+        (["wilkinson", "--tol-point", "0"], "point_tol must be a finite positive number, got 0.0"),
         (["solve-bisect", "--problem", "quadratic-saddle", "--max-iter", "0"],
          "max_iter must be at least 1"),
         # An infinite tolerance would stop the run at once and report convergence.
         (["solve-local", "--problem", "double-well-curve", "--tol-gap", "inf"],
-         "gap_tol must be finite, got inf"),
+         "gap_tol must be a finite positive number, got inf"),
         (["solve-local", "--problem", "double-well-curve", "--tol-point", "inf"],
-         "point_tol must be finite, got inf"),
+         "point_tol must be a finite positive number, got inf"),
         (["solve-bisect", "--problem", "double-well-curve", "--tol-gap", "inf"],
-         "tolerances must be finite"),
+         "value_tol must be a finite positive number, got inf"),
         (["solve-bisect", "--problem", "double-well-curve", "--tol-point", "inf"],
-         "tolerances must be finite"),
+         "point_tol must be a finite positive number, got inf"),
     ],
     ids=["solve-local-tol-gap", "wilkinson-tol-point", "solve-bisect-max-iter",
          "solve-local-tol-gap-inf", "solve-local-tol-point-inf",

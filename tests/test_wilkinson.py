@@ -328,9 +328,7 @@ def test_wilkinson_local_estimate_above_grid_lower_bound():
         a[i, i + 1] = rng.uniform(0, 1) + 1j * rng.uniform(0, 1)
     pair, _, _ = voronoi_heuristic(a)
     res = wilkinson_local(a, pair[0], pair[1])
-    from saddlepass.wilkinson import default_psgrid_box
-
-    grid = pseudospectrum_grid(a, default_psgrid_box(a), 400, 400)
+    grid = pseudospectrum_grid(a, None, 400, 400)
     assert grid.sigma.min() <= res.epsilon_bar_estimate + 1e-12
 
 
@@ -515,11 +513,12 @@ def test_pseudospectrum_grid_validation():
 
 
 def test_pseudospectrum_grid_min_bounds_estimate(ex_bidiag5):
-    from saddlepass.wilkinson import default_psgrid_box
-
     res = wilkinson_distance(ex_bidiag5)
-    grid = pseudospectrum_grid(ex_bidiag5, default_psgrid_box(ex_bidiag5), 400, 400)
+    grid = pseudospectrum_grid(ex_bidiag5, None, 400, 400)
     assert grid.sigma.min() <= res.epsilon_bar_estimate
+    # With no box the grid spans the prepared matrix's region.
+    region = wk.prepare(ex_bidiag5).region
+    assert grid.bbox == (*region.lower, *region.upper)
     # node nearest an eigenvalue is far below the corner value
     eigs = eigenvalues(ex_bidiag5)
     gx, gy = np.meshgrid(grid.xs, grid.ys)

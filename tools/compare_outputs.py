@@ -1,0 +1,63 @@
+"""Diff the solver results and CLI outputs of two saddlepass sources.
+
+Usage::
+
+    python tools/compare_outputs.py PARENT_SRC
+
+``PARENT_SRC`` is the ``src`` directory of another checkout (say, an
+unpacked ``git archive`` of the parent commit).  The script runs
+``tools/result_fingerprints.py`` and ``tools/cli_manifest.py`` of this
+checkout twice each, once with ``PARENT_SRC`` on ``PYTHONPATH`` and once with
+this checkout's ``src``, and prints a unified diff of each pair of outputs and
+the ``failed`` counts per workload of both fingerprint runs.  It exits 0 when
+both pairs are identical and 1 otherwise.  OpenBLAS is pinned to one thread in
+every run.  The four runs take a few minutes.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ("result_fingerprints.py", "cli_manifest.py")
+
+
+def _run(tool: str, src: Path, out: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, str(ROOT / "tools" / tool), str(out)], env=env, check=True)
+    return out.read_text()
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not (Path(args[0]) / "saddlepass").is_dir():
+        print("usage: python tools/compare_outputs.py PARENT_SRC", file=sys.stderr)
+        return 1
+    sources = {"parent": Path(args[0]).resolve(), "change": ROOT / "src"}
+    differs = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for tool in TOOLS:
+            texts = {label: _run(tool, src, Path(tmp) / f"{label}-{tool}.json")
+                     for label, src in sources.items()}
+            diff = list(difflib.unified_diff(
+                texts["parent"].splitlines(keepends=True),
+                texts["change"].splitlines(keepends=True),
+                f"parent/{tool}", f"change/{tool}",
+            ))
+            print(f"== {tool}: {'differs' if diff else 'identical'}")
+            sys.stdout.writelines(diff)
+            if tool == "result_fingerprints.py":
+                for label, text in texts.items():
+                    print(f"failed ({label}): {json.loads(text)['failed']}")
+            differs = differs or bool(diff)
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
