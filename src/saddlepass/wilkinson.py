@@ -4,7 +4,8 @@ The 2-norm distance from A to the nearest matrix with a repeated eigenvalue
 equals the smallest epsilon at which two components of the epsilon-
 pseudospectrum touch.  That touching point is the highest point of an optimal
 mountain pass of ``sigma_min(A - z I)`` between two eigenvalues, so the fast
-local level-set iteration applies directly on C identified with R^2.
+local level-set iteration applies directly on C identified with R^2, in a
+ball about the pair that keeps the other eigenvalues out.
 
 Two pieces make the 1-D subproblems exact here: a unimodular rotation maps any
 segment onto a vertical one, and the block-matrix level-crossing test turns
@@ -31,8 +32,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NUMERICAL_FAILURES, DegenerateSpectrumError, PreconditionError
-from .fields import Box
+from .errors import (
+    NUMERICAL_FAILURES,
+    BoundaryHitError,
+    DegenerateSpectrumError,
+    PreconditionError,
+)
+from .fields import Ball, Box
 from .linalg import (
     SegmentFrame,
     SigmaMinField,
@@ -62,6 +68,13 @@ _PULL_IN = 0.02
 
 #: Iteration cap per pair in exhaustive mode (converging pairs need few).
 _EXHAUSTIVE_MAX_ITER = 20
+
+#: Radius factors of the pair ball (:func:`_pair_ball`), and the shrink factor
+#: and number of reruns of a local solve that fails in it (:func:`wilkinson_local`).
+_BALL_SPAN = 0.6
+_BALL_CAP = 0.9
+_BALL_SHRINK = 0.8
+_BALL_RETRIES = 4
 
 #: Pairs per array pass of :func:`voronoi_edges`, which bounds its working
 #: memory by _CLIP_BLOCK * (n + 4) row entries (a peak of 18 MB at n = 300).
@@ -161,7 +174,9 @@ class PreparedMatrix(SigmaMinField):
     level-sweep extremization and the block-eigenvalue crossing test on
     ``matrix``.  ``eigs`` are sorted as :func:`eigenvalues` sorts them,
     ``norm`` is the spectral norm and ``region`` the inflated spectrum box
-    that bounds both the Voronoi diagram and the local iteration.
+    that bounds the Voronoi diagram and the default psgrid; each local
+    iteration runs in a ball about its own eigenvalue pair instead
+    (:func:`_pair_ball`).
     """
 
     def __init__(self, a):
@@ -239,6 +254,22 @@ def _spectrum_box(eigs: np.ndarray, norm_a: float) -> Box:
     hx = 1.5 * hx + margin
     hy = 1.5 * hy + margin
     return Box((cx - hx, cy - hy), (cx + hx, cy + hy))
+
+
+def _pair_ball(eigs: np.ndarray, lam1: complex, lam2: complex, tol_eig: float) -> Ball:
+    """The local solve's region for the pair: a ball about its midpoint.
+
+    The radius is ``_BALL_SPAN * |lam1 - lam2|``, capped at ``_BALL_CAP``
+    times the distance from the midpoint to the nearest third eigenvalue
+    (one farther than ``tol_eig`` from both), so that no bisector chord runs
+    near an eigenvalue where sigma is about 0.
+    """
+    mid = 0.5 * (lam1 + lam2)
+    r = _BALL_SPAN * abs(lam1 - lam2)
+    for lam in eigs.tolist():
+        if abs(lam - lam1) > tol_eig and abs(lam - lam2) > tol_eig:
+            r = min(r, _BALL_CAP * abs(lam - mid))
+    return Ball(_c2p(mid), r)
 
 
 def prepare(a) -> PreparedMatrix:
@@ -386,6 +417,9 @@ class WilkinsonResult:
     epsilon_bar_estimate: float
     records: list[LocalIterate]
     converged: bool
+    #: Why the last local run stopped (a :class:`LocalRun` stop reason), or
+    #: ``"degenerate_spectrum"`` for a repeated eigenvalue.
+    stop_reason: str
     perturbation: Optional[np.ndarray] = None
     heuristic_pair: Optional[tuple[complex, complex]] = None
     heuristic_epsilon: Optional[float] = None
@@ -424,6 +458,15 @@ def wilkinson_local(
     segment methods are exact, so every 1-D subproblem (bisector
     minimization, segment advance, segment max) goes to the crossing-based
     solvers and the bisector step is solved globally on its chord.
+
+    The iteration runs in the pair's ball (:func:`_pair_ball`), not in the
+    matrix's ``region``: the pass is decided by the two components that
+    meet, and a chord that reaches a third eigenvalue dips below the level.
+    A run that hits the ball's boundary, stops unconverged or produces no
+    records is rerun in a ball ``_BALL_SHRINK`` times smaller, at most
+    ``_BALL_RETRIES`` times; the last run's result is returned, or its error
+    raised.  Other precondition failures (a first chord whose base point
+    lies outside the ball) raise at once, since a smaller ball cannot help.
     """
     pm = prepare(a)
     opts = opts or WilkinsonOptions()
@@ -438,7 +481,18 @@ def wilkinson_local(
 
     x0 = _c2p(lam1 + _PULL_IN * (lam2 - lam1))
     y0 = _c2p(lam2 - _PULL_IN * (lam2 - lam1))
-    run = run_local(pm, pm.region, x0, y0, opts=opts.local)
+    ball = _pair_ball(pm.eigs, lam1, lam2, tol_eig)
+    for _ in range(_BALL_RETRIES + 1):
+        try:
+            run = run_local(pm, ball, x0, y0, opts=opts.local)
+        except BoundaryHitError as err:
+            run = err
+        else:
+            if run.converged:
+                break
+        ball = Ball(ball.center, _BALL_SHRINK * ball.radius)
+    if isinstance(run, Exception):
+        raise run
     if not run.records:
         raise PreconditionError("local iteration produced no records")
     last = run.records[-1]
@@ -452,6 +506,7 @@ def wilkinson_local(
         epsilon_bar_estimate=eps_bar,
         records=run.records,
         converged=run.converged,
+        stop_reason=run.stop_reason,
         perturbation=pert,
     )
 
@@ -464,8 +519,8 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     estimate.  By default the loop sees only the heuristic pair.  With
     ``opts.exhaustive`` it sees every pair, nearest first, which covers the
     known failure mode of the heuristic; the pairs other than the heuristic
-    one run at most ``_EXHAUSTIVE_MAX_ITER`` iterations, and every pair is
-    recorded in ``pair_scan``, a failed solve with its error.  If no pair
+    one run at most ``_EXHAUSTIVE_MAX_ITER`` iterations per ball, and every
+    pair is recorded in ``pair_scan``, a failed solve with its error.  If no pair
     converges, the heuristic pair's result is returned, or its error raised.
     The result is a local estimate, not a certificate of the global distance.
     """
@@ -482,6 +537,7 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
             epsilon_bar_estimate=0.0,
             records=[],
             converged=True,
+            stop_reason="degenerate_spectrum",
             perturbation=np.zeros_like(pm.matrix),
         )
 
@@ -542,7 +598,7 @@ class PseudospectrumGrid:
 
 def pseudospectrum_grid(a, bbox, nx: int, ny: int) -> PseudospectrumGrid:
     """Sample sigma_min(A - z I) on an nx-by-ny grid over bbox = (x0, y0, x1, y1),
-    or over the prepared matrix's region (the local solver's) when bbox is None."""
+    or over the prepared matrix's region (the spectrum box) when bbox is None."""
     pm = prepare(a)
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 import saddlepass.wilkinson as wk
 from saddlepass import (
     Box,
+    LocalOptions,
+    LocalRun,
     ScalarField,
     SigmaMinField,
     WilkinsonOptions,
@@ -22,7 +25,7 @@ from saddlepass import (
     wilkinson_distance,
     wilkinson_local,
 )
-from saddlepass.errors import DegenerateSpectrumError, PreconditionError
+from saddlepass.errors import BoundaryHitError, DegenerateSpectrumError, PreconditionError
 
 from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5, bidiagonal_10x10
 from oracles import golden_minimize, voronoi_edges_reference
@@ -332,6 +335,118 @@ def test_wilkinson_local_estimate_above_grid_lower_bound():
     assert grid.sigma.min() <= res.epsilon_bar_estimate + 1e-12
 
 
+def test_pair_ball_is_capped_by_the_nearest_third_eigenvalue():
+    # 0.6 |l1 - l2| without a near third eigenvalue, else 0.9 times the
+    # distance from the midpoint to it; eigenvalues within tol_eig of the
+    # pair are the pair's own.
+    ball = wk._pair_ball(np.array([0.0, 2.0, 10.0]), 0.0, 2.0, 1e-8)
+    assert ball.center.tolist() == [1.0, 0.0] and ball.radius == pytest.approx(1.2)
+    ball = wk._pair_ball(np.array([0.0, 2.0, 1.0 + 1.0j]), 0.0, 2.0, 1e-8)
+    assert ball.radius == pytest.approx(0.9)
+    ball = wk._pair_ball(np.array([0.0, 2.0, 2.0 + 1e-9]), 0.0, 2.0, 1e-8)
+    assert ball.radius == pytest.approx(1.2)
+
+
+def _recorded_runs(monkeypatch, outcome):
+    """Replace the local solver by ``outcome(region)``; return the radii it saw."""
+    radii = []
+
+    def fake(field, region, *args, **kwargs):
+        radii.append(region.radius)
+        return outcome(region)
+
+    monkeypatch.setattr(wk, "run_local", fake)
+    return radii
+
+
+def test_wilkinson_local_shrinks_the_ball_after_each_boundary_hit(monkeypatch, ex_bidiag5):
+    def hit(region):
+        raise BoundaryHitError(region.center)
+
+    radii = _recorded_runs(monkeypatch, hit)
+    with pytest.raises(BoundaryHitError):
+        wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
+    assert len(radii) == 1 + wk._BALL_RETRIES
+    assert radii[1:] == pytest.approx([wk._BALL_SHRINK * r for r in radii[:-1]])
+
+
+def test_wilkinson_local_reruns_an_unconverged_stop_until_one_converges(monkeypatch, ex_bidiag5):
+    # The first two runs are reported unconverged; the third is returned.
+    run_local = wk.run_local
+    runs = []
+
+    def third_converges(field, region, x0, y0, opts=None):
+        runs.append(run_local(field, region, x0, y0, opts=opts))
+        if len(runs) == 3:
+            return runs[-1]
+        return replace(runs[-1], converged=False, stop_reason="max_iter")
+
+    monkeypatch.setattr(wk, "run_local", third_converges)
+    res = wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
+    assert len(runs) == 3 and res.converged and res.records is runs[-1].records
+
+
+def test_wilkinson_local_raises_no_records_after_the_last_retry(monkeypatch, ex_bidiag5):
+    empty = LocalRun(initial_pair=(None, None), records=[], converged=False,
+                     stop_reason="bisector_below_level")
+    radii = _recorded_runs(monkeypatch, lambda region: empty)
+    with pytest.raises(PreconditionError, match="no records"):
+        wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
+    assert len(radii) == 1 + wk._BALL_RETRIES
+
+
+def test_wilkinson_local_raises_other_precondition_errors_at_once(monkeypatch, ex_bidiag5):
+    # A first chord whose base point lies outside the ball does not depend on
+    # the radius, so a smaller ball cannot help.
+    def outside(region):
+        raise PreconditionError("hyperplane base point lies outside the region")
+
+    radii = _recorded_runs(monkeypatch, outside)
+    with pytest.raises(PreconditionError, match="outside the region"):
+        wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
+    assert len(radii) == 1
+
+
+@pytest.mark.parametrize("n, seed", [(10, 4), (10, 11), (10, 12), (16, 12)],
+                         ids=["n10-s4", "n10-s11", "n10-s12", "n16-s12"])
+def test_unscaled_gaussian_heuristic_pair_runs_in_its_ball(n, seed):
+    # In the spectrum box the first bisector chord of these pairs reaches a
+    # third eigenvalue, so the run produced no records.
+    g = np.random.default_rng(seed)
+    res = wilkinson_distance(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
+    assert res.records and res.converged and res.stop_reason == "point_tol"
+
+
+@pytest.mark.filterwarnings("ignore:smallest singular value is nearly multiple")
+def test_normal_matrix_converges_at_the_midpoint_not_at_a_far_tie():
+    # sigma is 1 both at z = 1 and at 1 + 5j on the bisector Re z = 1 of the
+    # pair (0, 2); in the box the run stopped unconverged at the far tie.
+    res = wilkinson_distance(np.diag([0.0, 2.0, 5.0j]))
+    assert res.converged
+    assert abs(res.coalescence_point - 1.0) <= 1e-9
+    assert abs(res.epsilon_bar_estimate - 1.0) <= 1e-9
+
+
+def test_scaled_gaussian_heuristic_pair_converges_at_the_smallest_value():
+    # In the box the heuristic pair did not converge and the exhaustive scan
+    # returned 0.1389, seven times the distance.
+    rng = np.random.default_rng(1)
+    a = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / np.sqrt(2 * 8)
+    res = wilkinson_distance(a)
+    assert res.converged
+    assert res.epsilon_bar_estimate == pytest.approx(0.0186328308894, rel=1e-9)
+    scan = wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
+    assert scan.epsilon_bar_estimate == res.epsilon_bar_estimate
+
+
+def test_wilkinson_result_reports_the_stop_reason(ex_bidiag5):
+    assert wilkinson_distance(ex_bidiag5).stop_reason == "point_tol"
+    capped = wilkinson_distance(ex_bidiag5, WilkinsonOptions(local=LocalOptions(max_iter=1)))
+    assert not capped.converged and capped.stop_reason == "max_iter"
+    repeated = wilkinson_distance(np.diag([1.0, 1.0, 3.0]))
+    assert repeated.stop_reason == "degenerate_spectrum"
+
+
 def test_wilkinson_distance_bidiagonal(ex_bidiag5):
     res = wilkinson_distance(ex_bidiag5)
     assert abs(res.epsilon_bar_estimate - BIDIAG_5X5_EPS) <= 1e-9 * BIDIAG_5X5_EPS
@@ -387,14 +502,15 @@ def test_exhaustive_mode_reproduces_heuristic_failure(ex_bidiag10):
 
 @pytest.mark.parametrize(
     "n, seed, heuristic_raises",
-    [(6, 5, False), (8, 1, False), (8, 2, True)],
-    ids=["n6-s5-unconverged-heuristic", "n8-s1-unconverged-heuristic",
-         "n8-s2-heuristic-raises"],
+    [(6, 75, False), (8, 78, False), (6, 92, True)],
+    ids=["n6-s75-unconverged-heuristic", "n8-s78-unconverged-heuristic",
+         "n6-s92-heuristic-raises"],
 )
 def test_exhaustive_mode_returns_the_smallest_converged_pair(n, seed, heuristic_raises):
     # Scaled complex Gaussian matrices on which the heuristic pair does not
-    # converge (or its solve raises) while other pairs do: the scan returns
-    # the best converged pair, not the heuristic's estimate.
+    # converge (it stops with bisector_below_level, or its solve raises
+    # BoundaryHitError) while other pairs do: the scan returns the best
+    # converged pair, not the heuristic's estimate.
     rng = np.random.default_rng(seed)
     a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
     res = wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
