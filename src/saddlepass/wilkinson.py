@@ -15,7 +15,9 @@ over a segment with locally quadratic convergence.
 
 The eigenvalue pair whose components touch first is guessed by minimizing
 sigma over the edges of the Voronoi diagram of the spectrum; the guess can
-fail, so an exhaustive mode reruns the local solver over eigenvalue pairs.
+fail, so an exhaustive mode reruns the local solver over eigenvalue pairs,
+skipping a pair when a Voronoi cell it has to leave stays above the
+heuristic pair's level.
 Only the smallest edge minimum matters, so the edges are searched by branch
 and bound.  sigma_min(A - z I) is 1-Lipschitz in z (Weyl's inequality), so a
 few samples bound an edge from below; an edge whose bound clears the best
@@ -68,6 +70,11 @@ _PULL_IN = 0.02
 
 #: Iteration cap per pair in exhaustive mode (converging pairs need few).
 _EXHAUSTIVE_MAX_ITER = 20
+
+#: Relative margin above the heuristic pair's converged epsilon at which the
+#: exhaustive scan tests Voronoi cells for pruning: the error a converged
+#: estimate may have.
+_PRUNE_RTOL = 1e-5
 
 #: Radius factors of the pair ball (:func:`_pair_ball`), and the shrink factor
 #: and number of reruns of a local solve that fails in it (:func:`wilkinson_local`).
@@ -173,7 +180,8 @@ class PreparedMatrix(SigmaMinField):
     overrides of the four :class:`ScalarField` segment methods run the
     level-sweep extremization and the block-eigenvalue crossing test on
     ``matrix``.  ``eigs`` are sorted as :func:`eigenvalues` sorts them,
-    ``norm`` is the spectral norm and ``region`` the inflated spectrum box
+    ``norm`` is the spectral norm, ``tol_eig`` the residual up to which a
+    point counts as an eigenvalue, and ``region`` the inflated spectrum box
     that bounds the Voronoi diagram and the default psgrid; each local
     iteration runs in a ball about its own eigenvalue pair instead
     (:func:`_pair_ball`).
@@ -183,6 +191,7 @@ class PreparedMatrix(SigmaMinField):
         super().__init__(a)
         self.eigs = eigenvalues(self.matrix)
         self.norm = spectral_norm(self.matrix)
+        self.tol_eig = 1e-8 * (1.0 + self.norm)
         self.region = _spectrum_box(self.eigs, self.norm)
 
     def minimize(self, p, q):
@@ -268,8 +277,17 @@ def _pair_ball(eigs: np.ndarray, lam1: complex, lam2: complex, tol_eig: float) -
     r = _BALL_SPAN * abs(lam1 - lam2)
     for lam in eigs.tolist():
         if abs(lam - lam1) > tol_eig and abs(lam - lam2) > tol_eig:
+            if lam == mid:
+                raise PreconditionError(
+                    f"eigenvalue {lam} sits at the midpoint of the pair ({lam1}, {lam2})"
+                )
             r = min(r, _BALL_CAP * abs(lam - mid))
     return Ball(_c2p(mid), r)
+
+
+def _start_points(lam1: complex, lam2: complex) -> tuple[complex, complex]:
+    """The pair's endpoints pulled ``_PULL_IN`` of the way towards each other."""
+    return lam1 + _PULL_IN * (lam2 - lam1), lam2 - _PULL_IN * (lam2 - lam1)
 
 
 def prepare(a) -> PreparedMatrix:
@@ -331,20 +349,26 @@ def _clip_pairs(pts: np.ndarray, i: np.ndarray, j: np.ndarray, bbox: Box) -> lis
     ]
 
 
-def _dips_below(a, edge: VoronoiEdge, level: float, sample_min: float) -> bool:
-    """Can sigma drop below ``level`` on the edge?  At most one crossing test.
+def _sample_min(a, start: complex, end: complex) -> float:
+    """Smallest sigma at ``_EDGE_SAMPLES`` equally spaced points of [start, end]."""
+    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
+    return float(_sigma_batch(a, start + t * (end - start)).min())
 
-    A sample below the level, or a level Byers cannot test (not positive),
-    answers yes; the Lipschitz bound ``sample_min - h/2`` at or above the
-    level answers no.  Otherwise the level's
-    Byers crossings cut the edge into pieces on which sigma stays on one side
-    of the level, and a midpoint decides.
+
+def _dips_below(a, start: complex, end: complex, level: float, sample_min: float) -> bool:
+    """Can sigma drop below ``level`` on [start, end]?  At most one crossing test.
+
+    ``sample_min`` is :func:`_sample_min` of the segment.  A sample below the
+    level, or a level Byers cannot test (not positive), answers yes; the
+    Lipschitz bound ``sample_min - h/2`` at or above the level answers no.
+    Otherwise the level's Byers crossings cut the segment into pieces on
+    which sigma stays on one side of the level, and a midpoint decides.
     """
     if level <= 0.0 or sample_min < level:
         return True
-    if sample_min - 0.5 * abs(edge.end - edge.start) / (_EDGE_SAMPLES - 1) >= level:
+    if sample_min - 0.5 * abs(end - start) / (_EDGE_SAMPLES - 1) >= level:
         return False
-    frame = rotate_to_vertical(a, edge.start, edge.end)
+    frame = rotate_to_vertical(a, start, end)
     return any(_sigma_on_frame(frame, 0.5 * (lo + hi)) < level
                for lo, hi in _level_intervals(frame, level, frame.length))
 
@@ -378,16 +402,12 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     if not edges:
         raise RuntimeError("no Voronoi edges inside the bounding box")
     # One stack of samples per edge: stacking every edge at once costs memory.
-    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
-    sample_min = [
-        float(_sigma_batch(pm.matrix, e.start + t * (e.end - e.start)).min())
-        for e in edges
-    ]
+    sample_min = [_sample_min(pm.matrix, e.start, e.end) for e in edges]
     best = None  # (v, edge index, z)
     for k in sorted(range(len(edges)), key=sample_min.__getitem__):
         e = edges[k]
         if best is not None and not _dips_below(
-            pm.matrix, e, best[0] * (1.0 + _LEVEL_INFLATION), sample_min[k]
+            pm.matrix, e.start, e.end, best[0] * (1.0 + _LEVEL_INFLATION), sample_min[k]
         ):
             continue
         z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
@@ -395,6 +415,32 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
             best = (float(v), k, z)
     v, k, z = best
     return edges[k].pair, z, v
+
+
+def _open_cells(pm: PreparedMatrix, level: float) -> Optional[np.ndarray]:
+    """Which Voronoi cells of ``pm.eigs`` sigma may leave below ``level``.
+
+    Entry k is True when some clipped edge of the cell of ``pm.eigs[k]`` may
+    dip below the level (:func:`_dips_below`), else sigma is at least the
+    level on all of them.  A path from a closed cell to another cell crosses
+    one of its edges or leaves ``pm.region``, so when no side of the region
+    dips either, sigma reaches the level on every such path.  When a side
+    may dip, None is returned: then no cell is known to be closed.
+    """
+    (x0, y0), (x1, y1) = pm.region.lower, pm.region.upper
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        if _dips_below(pm.matrix, p, q, level, _sample_min(pm.matrix, p, q)):
+            return None
+    index = {lam: k for k, lam in enumerate(pm.eigs.tolist())}
+    is_open = np.zeros(len(pm.eigs), dtype=bool)
+    for e in voronoi_edges(pm.eigs, pm.region):
+        i, j = index[e.pair[0]], index[e.pair[1]]
+        if not (is_open[i] and is_open[j]) and _dips_below(
+            pm.matrix, e.start, e.end, level, _sample_min(pm.matrix, e.start, e.end)
+        ):
+            is_open[i] = is_open[j] = True
+    return is_open
 
 
 # --------------------------------------------------------------------------
@@ -423,6 +469,11 @@ class WilkinsonResult:
     perturbation: Optional[np.ndarray] = None
     heuristic_pair: Optional[tuple[complex, complex]] = None
     heuristic_epsilon: Optional[float] = None
+    #: Exhaustive mode only: one dict per eigenvalue pair, nearest first,
+    #: with keys ``pair``, ``epsilon``, ``converged`` and ``error``.  A pair
+    #: whose solve raised has ``epsilon`` None and its message in ``error``.
+    #: So has a skipped pair, whose ``error`` starts with "skipped" and gives
+    #: the level L its pass is known to reach (see :func:`wilkinson_distance`).
     pair_scan: Optional[list[dict]] = None
 
 
@@ -474,14 +525,12 @@ def wilkinson_local(
     lam2 = complex(lam2)
     if lam1 == lam2:
         raise ValueError("eigenvalue pair must be distinct")
-    tol_eig = 1e-8 * (1.0 + pm.norm)
     for lam in (lam1, lam2):
-        if pm.sigma_at(lam) > tol_eig:
-            raise ValueError(f"{lam} is not an eigenvalue of the matrix (residual > {tol_eig})")
+        if pm.sigma_at(lam) > pm.tol_eig:
+            raise ValueError(f"{lam} is not an eigenvalue of the matrix (residual > {pm.tol_eig})")
 
-    x0 = _c2p(lam1 + _PULL_IN * (lam2 - lam1))
-    y0 = _c2p(lam2 - _PULL_IN * (lam2 - lam1))
-    ball = _pair_ball(pm.eigs, lam1, lam2, tol_eig)
+    x0, y0 = (_c2p(z) for z in _start_points(lam1, lam2))
+    ball = _pair_ball(pm.eigs, lam1, lam2, pm.tol_eig)
     for _ in range(_BALL_RETRIES + 1):
         try:
             run = run_local(pm, ball, x0, y0, opts=opts.local)
@@ -514,15 +563,27 @@ def wilkinson_local(
 def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonResult:
     """Estimate the Wilkinson distance of a matrix.
 
-    Runs the Voronoi heuristic to pick an eigenvalue pair, then one loop of
-    local solves over eigenvalue pairs, and returns the smallest converged
-    estimate.  By default the loop sees only the heuristic pair.  With
-    ``opts.exhaustive`` it sees every pair, nearest first, which covers the
-    known failure mode of the heuristic; the pairs other than the heuristic
-    one run at most ``_EXHAUSTIVE_MAX_ITER`` iterations per ball, and every
-    pair is recorded in ``pair_scan``, a failed solve with its error.  If no pair
-    converges, the heuristic pair's result is returned, or its error raised.
-    The result is a local estimate, not a certificate of the global distance.
+    Runs the Voronoi heuristic to pick an eigenvalue pair, solves that pair,
+    then runs one loop over eigenvalue pairs and returns the smallest
+    converged estimate.  By default the loop sees only the heuristic pair.
+    With ``opts.exhaustive`` it sees every pair, nearest first, which covers
+    the known failure mode of the heuristic; the pairs other than the
+    heuristic one run at most ``_EXHAUSTIVE_MAX_ITER`` iterations per ball,
+    and every pair is recorded in ``pair_scan``, a failed solve with its
+    error.  If no pair converges, the heuristic pair's result is returned, or
+    its error raised.
+
+    The exhaustive loop skips pairs that cannot beat the heuristic.  When
+    the heuristic pair converges at eps_h above ``pm.tol_eig``, the level
+    ``L = eps_h * (1 + _PRUNE_RTOL)`` is tested on every Voronoi edge and
+    every side of ``pm.region`` (:func:`_open_cells`).  If no side dips below
+    L, a pair whose two start points lie in different cells, one of them
+    with no edge dipping below L, is skipped: every path between the start
+    points leaves that cell through its boundary, where sigma >= L, so the
+    pair's pass is at least L (Alam, Bora, Byers and Overton, LAA 2011).
+    Below ``tol_eig`` the crossing test can miss crossings, so nothing is
+    skipped there.  The result is a local estimate, not a certificate of the
+    global distance.
     """
     pm = prepare(a)
     opts = opts or WilkinsonOptions()
@@ -549,18 +610,34 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
                        key=lambda ij: abs(eigs[ij[0]] - eigs[ij[1]]))
         pairs = [(complex(eigs[i]), complex(eigs[j])) for i, j in order]
 
+    try:
+        heuristic = wilkinson_local(pm, pair[0], pair[1], opts)
+    except (*NUMERICAL_FAILURES, ValueError) as err:
+        heuristic = err
+    open_cells = level = None
+    if (opts.exhaustive and not isinstance(heuristic, Exception) and heuristic.converged
+            and heuristic.epsilon_bar_estimate > pm.tol_eig):
+        level = heuristic.epsilon_bar_estimate * (1.0 + _PRUNE_RTOL)
+        open_cells = _open_cells(pm, level)
+
     scan_opts = replace(opts, local=replace(opts.local, max_iter=_EXHAUSTIVE_MAX_ITER))
     scan: list[dict] = []
     converged: list[WilkinsonResult] = []
     for li, lj in pairs:
-        is_heuristic = (li, lj) in (pair, pair[::-1])
-        try:
-            entry = (wilkinson_local(pm, pair[0], pair[1], opts) if is_heuristic
-                     else wilkinson_local(pm, li, lj, scan_opts))
-        except (*NUMERICAL_FAILURES, ValueError) as err:
-            entry = err
-        if is_heuristic:
-            heuristic = entry
+        if (li, lj) in (pair, pair[::-1]):
+            entry = heuristic
+        else:
+            if open_cells is not None:
+                ci, cj = (int(np.argmin(np.abs(pm.eigs - z))) for z in _start_points(li, lj))
+                if ci != cj and not (open_cells[ci] and open_cells[cj]):
+                    scan.append({"pair": (li, lj), "epsilon": None, "converged": False,
+                                 "error": f"skipped: sigma stays at or above {level!r} on "
+                                          "the Voronoi cell boundary of a start point"})
+                    continue
+            try:
+                entry = wilkinson_local(pm, li, lj, scan_opts)
+            except (*NUMERICAL_FAILURES, ValueError) as err:
+                entry = err
         if isinstance(entry, Exception):
             scan.append({"pair": (li, lj), "epsilon": None, "converged": False,
                          "error": str(entry)})

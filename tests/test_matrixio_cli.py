@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saddlepass import cli, matrixio
+from saddlepass import WilkinsonOptions, cli, matrixio, wilkinson_distance
 from saddlepass.errors import BoundaryHitError, PreconditionError, ResolutionLimitError
 
 from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5
@@ -186,6 +186,12 @@ def test_cli_wilkinson_exhaustive_pair_scan(tmp_path, matrix_file, ex_bidiag5):
         if e["converged"]:
             assert obj["epsilon_bar"] <= e["epsilon"]
     assert len(seen) == 10
+    # Pairs the scan skipped show as unsolved: no epsilon, not converged.
+    res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
+    skipped = [k for k, e in enumerate(res.pair_scan) if (e["error"] or "").startswith("skipped")]
+    assert len(skipped) == 9
+    for k in skipped:
+        assert scan[k]["epsilon"] is None and scan[k]["converged"] is False
 
 
 def test_cli_wilkinson_degenerate_spectrum_exit_zero(tmp_path):

@@ -347,6 +347,17 @@ def test_pair_ball_is_capped_by_the_nearest_third_eigenvalue():
     assert ball.radius == pytest.approx(1.2)
 
 
+@pytest.mark.filterwarnings("ignore:smallest singular value is nearly multiple")
+def test_pair_ball_names_a_third_eigenvalue_at_the_midpoint():
+    with pytest.raises(PreconditionError, match=r"eigenvalue 1j sits at the midpoint"):
+        wk._pair_ball(np.array([0.0, 2.0j, 1.0j]), 0.0, 2.0j, 1e-8)
+    # The pair (0, 2) of diag(0, 1, 2) is solved, not pruned: both of its
+    # cells dip below the level 0.5 (1 + 1e-5) at their edges with 1's cell.
+    res = wilkinson_distance(np.diag([0.0, 1.0, 2.0]), WilkinsonOptions(exhaustive=True))
+    (entry,) = [e for e in res.pair_scan if {*e["pair"]} == {0.0, 2.0}]
+    assert entry["error"] == "eigenvalue (1+0j) sits at the midpoint of the pair (0j, (2+0j))"
+
+
 def _recorded_runs(monkeypatch, outcome):
     """Replace the local solver by ``outcome(region)``; return the radii it saw."""
     radii = []
@@ -579,6 +590,116 @@ def test_default_mode_is_the_heuristic_pair_of_the_exhaustive_scan(ex_bidiag10):
     assert default.heuristic_pair == scan.heuristic_pair
     assert default.chosen_pair == default.heuristic_pair
     assert default.pair_scan is None
+
+
+def _skipped(res):
+    return [e for e in res.pair_scan if (e["error"] or "").startswith("skipped")]
+
+
+def _manifest_real(n, seed):
+    return np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+
+
+_PRUNE_CASES = [
+    ("bidiag5", bidiagonal_5x5),
+    ("bidiag10", bidiagonal_10x10),
+    # Real matrices: their conjugate spectra give mirror-image pairs.
+    ("real-n7-s0", partial(_manifest_real, 7, 0)),
+    ("real-n10-s1", partial(_manifest_real, 10, 1)),
+    ("triu-real-n8-s7", lambda: np.triu(np.random.default_rng(7).standard_normal((8, 8)))),
+    ("scaled-n6-s5", partial(_random_matrix, "scaled", 6, 5)),
+    ("scaled-n8-s1", partial(_random_matrix, "scaled", 8, 1)),
+    ("scaled-n9-s3", partial(_random_matrix, "scaled", 9, 3)),
+    ("unscaled-n7-s2", partial(_random_matrix, "unscaled", 7, 2)),
+    ("unscaled-n9-s0", partial(_random_matrix, "unscaled", 9, 0)),
+]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in _PRUNE_CASES], ids=[c[0] for c in _PRUNE_CASES])
+def test_pruned_scan_returns_the_full_scan_result(make, monkeypatch):
+    # A pair is skipped only when the boundary of a start point's cell stays
+    # above the heuristic's level, so no pass of the pair lies below it:
+    # pruning saves solves, never the answer.
+    a = make()
+    pruned = wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
+    monkeypatch.setattr(wk, "_open_cells", lambda pm, level: None)
+    full = wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
+    assert not _skipped(full)
+    for key in ("epsilon_bar_estimate", "coalescence_point", "chosen_pair", "converged",
+                "stop_reason", "heuristic_pair", "heuristic_epsilon"):
+        assert getattr(pruned, key) == getattr(full, key), key
+    assert len(pruned.records) == len(full.records)
+    assert [e["pair"] for e in pruned.pair_scan] == [e["pair"] for e in full.pair_scan]
+    for kept, solved in zip(pruned.pair_scan, full.pair_scan):
+        if kept["error"] and kept["error"].startswith("skipped"):
+            # The skipped pair's own solve does not converge below the answer.
+            assert not solved["converged"] or solved["epsilon"] >= pruned.epsilon_bar_estimate
+        else:
+            assert kept == solved
+
+
+def _counted_local_solves(monkeypatch, first=lambda res: res):
+    """Record the pairs ``wilkinson_local`` solves; ``first`` maps the first result."""
+    pairs = []
+    solve = wk.wilkinson_local
+
+    def counted(a, lam1, lam2, opts=None):
+        pairs.append((lam1, lam2))
+        res = solve(a, lam1, lam2, opts)
+        return first(res) if len(pairs) == 1 else res
+
+    monkeypatch.setattr(wk, "wilkinson_local", counted)
+    return pairs
+
+
+@pytest.mark.parametrize("fixture, solved", [("ex_bidiag5", 1), ("ex_bidiag10", 3)])
+def test_pruned_scan_solves_few_pairs_of_the_paper_matrices(monkeypatch, request, fixture, solved):
+    a = request.getfixturevalue(fixture)
+    pairs = _counted_local_solves(monkeypatch)
+    res = wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
+    assert len(pairs) == solved
+    skipped = _skipped(res)
+    assert len(skipped) == len(res.pair_scan) - solved
+    level = res.heuristic_epsilon * (1.0 + wk._PRUNE_RTOL)
+    for e in skipped:
+        assert e["epsilon"] is None and e["converged"] is False
+        assert repr(level) in e["error"]
+
+
+@pytest.mark.parametrize("n, seed", [(6, 92), (6, 75)],
+                         ids=["n6-s92-heuristic-raises", "n6-s75-unconverged-heuristic"])
+def test_scan_solves_every_pair_without_a_converged_heuristic(monkeypatch, n, seed):
+    pairs = _counted_local_solves(monkeypatch)
+    res = wilkinson_distance(_random_matrix("scaled", n, seed), WilkinsonOptions(exhaustive=True))
+    assert len(pairs) == len(res.pair_scan) == n * (n - 1) // 2
+    assert not _skipped(res)
+
+
+def test_scan_solves_every_pair_when_a_side_of_the_region_dips(monkeypatch, ex_bidiag5):
+    region = wk.prepare(ex_bidiag5).region
+    (x0, y0), (x1, y1) = region.lower, region.upper
+    corners = {complex(x, y) for x in (x0, x1) for y in (y0, y1)}
+    dips = wk._dips_below
+
+    def side_dips(a, start, end, level, sample_min):
+        return {start, end} <= corners or dips(a, start, end, level, sample_min)
+
+    monkeypatch.setattr(wk, "_dips_below", side_dips)
+    pairs = _counted_local_solves(monkeypatch)
+    res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
+    assert len(pairs) == 10 and not _skipped(res)
+
+
+def test_scan_solves_every_pair_when_the_heuristic_level_is_at_the_eigenvalue_tolerance(
+        monkeypatch, ex_bidiag5):
+    # At such levels a Byers crossing test can miss crossings, so no cell is
+    # known to be closed.
+    tol_eig = wk.prepare(ex_bidiag5).tol_eig
+    pairs = _counted_local_solves(
+        monkeypatch, lambda res: replace(res, epsilon_bar_estimate=tol_eig))
+    res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
+    assert res.heuristic_epsilon == tol_eig
+    assert len(pairs) == 10 and not _skipped(res)
 
 
 # ------------------------------------------------------------ perturbation
