@@ -15,9 +15,9 @@ over a segment with locally quadratic convergence.
 
 The eigenvalue pair whose components touch first is guessed by minimizing
 sigma over the edges of the Voronoi diagram of the spectrum; the guess can
-fail, so an exhaustive mode reruns the local solver over eigenvalue pairs,
-skipping a pair when a Voronoi cell it has to leave stays above the
-heuristic pair's level.
+fail, so the default mode falls back to the other edges' pairs and an
+exhaustive mode reruns the local solver over eigenvalue pairs, skipping a
+pair when a Voronoi cell it has to leave stays above the heuristic pair's level.
 Only the smallest edge minimum matters, so the edges are searched by branch
 and bound.  sigma_min(A - z I) is 1-Lipschitz in z (Weyl's inequality), so a
 few samples bound an edge from below; an edge whose bound clears the best
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -77,7 +77,7 @@ _EXHAUSTIVE_MAX_ITER = 20
 _PRUNE_RTOL = 1e-5
 
 #: Radius factors of the pair ball (:func:`_pair_ball`), and the shrink factor
-#: and number of reruns of a local solve that fails in it (:func:`wilkinson_local`).
+#: and number of reruns of a local solve that hits its boundary (:func:`wilkinson_local`).
 _BALL_SPAN = 0.6
 _BALL_CAP = 0.9
 _BALL_SHRINK = 0.8
@@ -184,7 +184,9 @@ class PreparedMatrix(SigmaMinField):
     point counts as an eigenvalue, and ``region`` the inflated spectrum box
     that bounds the Voronoi diagram and the default psgrid; each local
     iteration runs in a ball about its own eigenvalue pair instead
-    (:func:`_pair_ball`).
+    (:func:`_pair_ball`).  ``voronoi`` is the Voronoi stage, built on first
+    use and shared by the heuristic, the exhaustive scan's prune and the
+    default mode's fallback pairs.
     """
 
     def __init__(self, a):
@@ -193,6 +195,13 @@ class PreparedMatrix(SigmaMinField):
         self.norm = spectral_norm(self.matrix)
         self.tol_eig = 1e-8 * (1.0 + self.norm)
         self.region = _spectrum_box(self.eigs, self.norm)
+
+    @cached_property
+    def voronoi(self) -> list[tuple[float, int, VoronoiEdge]]:
+        """``(_sample_min, clip-order index, edge)`` of every :func:`voronoi_edges`
+        edge, sorted ascending: equal sample minima stay in clip order."""
+        edges = voronoi_edges(self.eigs, self.region)
+        return sorted((_sample_min(self.matrix, e.start, e.end), k, e) for k, e in enumerate(edges))
 
     def minimize(self, p, q):
         z, v = segment_minimize_sigma(self.matrix, _p2c(p), _p2c(q))
@@ -398,23 +407,19 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     repeated = np.argwhere(np.triu(close, 1))  # row-major: the first (i, j)
     if repeated.size:
         raise DegenerateSpectrumError(complex(eigs[repeated[0, 0]]))
-    edges = voronoi_edges(eigs, pm.region)
-    if not edges:
+    if not pm.voronoi:
         raise RuntimeError("no Voronoi edges inside the bounding box")
-    # One stack of samples per edge: stacking every edge at once costs memory.
-    sample_min = [_sample_min(pm.matrix, e.start, e.end) for e in edges]
-    best = None  # (v, edge index, z)
-    for k in sorted(range(len(edges)), key=sample_min.__getitem__):
-        e = edges[k]
+    best = None  # (v, edge index, z, edge)
+    for sample_min, k, e in pm.voronoi:
         if best is not None and not _dips_below(
-            pm.matrix, e.start, e.end, best[0] * (1.0 + _LEVEL_INFLATION), sample_min[k]
+            pm.matrix, e.start, e.end, best[0] * (1.0 + _LEVEL_INFLATION), sample_min
         ):
             continue
         z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
         if best is None or (float(v), k) < best[:2]:
-            best = (float(v), k, z)
-    v, k, z = best
-    return edges[k].pair, z, v
+            best = (float(v), k, z, e)
+    v, _, z, e = best
+    return e.pair, z, v
 
 
 def _open_cells(pm: PreparedMatrix, level: float) -> Optional[np.ndarray]:
@@ -434,10 +439,10 @@ def _open_cells(pm: PreparedMatrix, level: float) -> Optional[np.ndarray]:
             return None
     index = {lam: k for k, lam in enumerate(pm.eigs.tolist())}
     is_open = np.zeros(len(pm.eigs), dtype=bool)
-    for e in voronoi_edges(pm.eigs, pm.region):
+    for sample_min, _, e in pm.voronoi:
         i, j = index[e.pair[0]], index[e.pair[1]]
         if not (is_open[i] and is_open[j]) and _dips_below(
-            pm.matrix, e.start, e.end, level, _sample_min(pm.matrix, e.start, e.end)
+            pm.matrix, e.start, e.end, level, sample_min
         ):
             is_open[i] = is_open[j] = True
     return is_open
@@ -513,11 +518,12 @@ def wilkinson_local(
     The iteration runs in the pair's ball (:func:`_pair_ball`), not in the
     matrix's ``region``: the pass is decided by the two components that
     meet, and a chord that reaches a third eigenvalue dips below the level.
-    A run that hits the ball's boundary, stops unconverged or produces no
-    records is rerun in a ball ``_BALL_SHRINK`` times smaller, at most
-    ``_BALL_RETRIES`` times; the last run's result is returned, or its error
-    raised.  Other precondition failures (a first chord whose base point
-    lies outside the ball) raise at once, since a smaller ball cannot help.
+    Only a run that hits the ball's boundary (:class:`BoundaryHitError`) is
+    rerun, in a ball ``_BALL_SHRINK`` times smaller, at most
+    ``_BALL_RETRIES`` times; the last hit is raised.  A run that returns is
+    final, converged or not, and one with no records raises at once.  Other
+    precondition failures (a first chord whose base point lies outside the
+    ball) raise at once too, since a smaller ball cannot help.
     """
     pm = prepare(a)
     opts = opts or WilkinsonOptions()
@@ -531,17 +537,14 @@ def wilkinson_local(
 
     x0, y0 = (_c2p(z) for z in _start_points(lam1, lam2))
     ball = _pair_ball(pm.eigs, lam1, lam2, pm.tol_eig)
-    for _ in range(_BALL_RETRIES + 1):
+    for retries_left in range(_BALL_RETRIES, -1, -1):
         try:
             run = run_local(pm, ball, x0, y0, opts=opts.local)
-        except BoundaryHitError as err:
-            run = err
-        else:
-            if run.converged:
-                break
+            break
+        except BoundaryHitError:
+            if not retries_left:
+                raise
         ball = Ball(ball.center, _BALL_SHRINK * ball.radius)
-    if isinstance(run, Exception):
-        raise run
     if not run.records:
         raise PreconditionError("local iteration produced no records")
     last = run.records[-1]
@@ -564,14 +567,16 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     """Estimate the Wilkinson distance of a matrix.
 
     Runs the Voronoi heuristic to pick an eigenvalue pair, solves that pair,
-    then runs one loop over eigenvalue pairs and returns the smallest
-    converged estimate.  By default the loop sees only the heuristic pair.
-    With ``opts.exhaustive`` it sees every pair, nearest first, which covers
-    the known failure mode of the heuristic; the pairs other than the
-    heuristic one run at most ``_EXHAUSTIVE_MAX_ITER`` iterations per ball,
-    and every pair is recorded in ``pair_scan``, a failed solve with its
-    error.  If no pair converges, the heuristic pair's result is returned, or
-    its error raised.
+    then runs one loop over eigenvalue pairs.  By default the loop returns
+    the first pair that converges: the heuristic pair, else the pairs of the
+    other Voronoi edges in ``pm.voronoi`` order, each with the caller's
+    options.  A fallback pair's pass need not be the smallest.  With
+    ``opts.exhaustive`` the loop sees every pair, nearest first, which covers
+    the known failure mode of the heuristic, and returns the smallest
+    converged estimate; the pairs other than the heuristic one run at most
+    ``_EXHAUSTIVE_MAX_ITER`` iterations per ball, and every pair is recorded
+    in ``pair_scan``, a failed solve with its error.  If no pair converges,
+    the heuristic pair's result is returned, or its error raised.
 
     The exhaustive loop skips pairs that cannot beat the heuristic.  When
     the heuristic pair converges at eps_h above ``pm.tol_eig``, the level
@@ -602,13 +607,15 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
             perturbation=np.zeros_like(pm.matrix),
         )
 
-    pairs = [pair]
+    pairs = [pair] + [e.pair for _, _, e in pm.voronoi if e.pair != pair]
+    scan_opts = opts
     if opts.exhaustive:
         eigs = pm.eigs
         # Scalar abs: numpy's array abs can round the distances differently.
         order = sorted(((i, j) for i in range(len(eigs)) for j in range(i + 1, len(eigs))),
                        key=lambda ij: abs(eigs[ij[0]] - eigs[ij[1]]))
         pairs = [(complex(eigs[i]), complex(eigs[j])) for i, j in order]
+        scan_opts = replace(opts, local=replace(opts.local, max_iter=_EXHAUSTIVE_MAX_ITER))
 
     try:
         heuristic = wilkinson_local(pm, pair[0], pair[1], opts)
@@ -620,7 +627,6 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
         level = heuristic.epsilon_bar_estimate * (1.0 + _PRUNE_RTOL)
         open_cells = _open_cells(pm, level)
 
-    scan_opts = replace(opts, local=replace(opts.local, max_iter=_EXHAUSTIVE_MAX_ITER))
     scan: list[dict] = []
     converged: list[WilkinsonResult] = []
     for li, lj in pairs:
@@ -646,6 +652,8 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
                      "converged": entry.converged, "error": None})
         if entry.converged:
             converged.append(entry)
+            if not opts.exhaustive:
+                break
     if not converged and isinstance(heuristic, Exception):
         raise heuristic
     # Smallest epsilon; ties go to the heuristic pair, then to scan order.

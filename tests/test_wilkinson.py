@@ -381,29 +381,30 @@ def test_wilkinson_local_shrinks_the_ball_after_each_boundary_hit(monkeypatch, e
     assert radii[1:] == pytest.approx([wk._BALL_SHRINK * r for r in radii[:-1]])
 
 
-def test_wilkinson_local_reruns_an_unconverged_stop_until_one_converges(monkeypatch, ex_bidiag5):
-    # The first two runs are reported unconverged; the third is returned.
+def test_wilkinson_local_returns_an_unconverged_stop_after_one_run(monkeypatch, ex_bidiag5):
+    # A run that returns is final: an unconverged stop is not rerun in a
+    # smaller ball.
     run_local = wk.run_local
     runs = []
 
-    def third_converges(field, region, x0, y0, opts=None):
-        runs.append(run_local(field, region, x0, y0, opts=opts))
-        if len(runs) == 3:
-            return runs[-1]
-        return replace(runs[-1], converged=False, stop_reason="max_iter")
+    def unconverged(field, region, x0, y0, opts=None):
+        runs.append(replace(run_local(field, region, x0, y0, opts=opts),
+                            converged=False, stop_reason="max_iter"))
+        return runs[-1]
 
-    monkeypatch.setattr(wk, "run_local", third_converges)
+    monkeypatch.setattr(wk, "run_local", unconverged)
     res = wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
-    assert len(runs) == 3 and res.converged and res.records is runs[-1].records
+    assert len(runs) == 1 and res.records is runs[0].records
+    assert not res.converged and res.stop_reason == "max_iter"
 
 
-def test_wilkinson_local_raises_no_records_after_the_last_retry(monkeypatch, ex_bidiag5):
+def test_wilkinson_local_raises_no_records_at_once(monkeypatch, ex_bidiag5):
     empty = LocalRun(initial_pair=(None, None), records=[], converged=False,
                      stop_reason="bisector_below_level")
     radii = _recorded_runs(monkeypatch, lambda region: empty)
     with pytest.raises(PreconditionError, match="no records"):
         wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
-    assert len(radii) == 1 + wk._BALL_RETRIES
+    assert len(radii) == 1
 
 
 def test_wilkinson_local_raises_other_precondition_errors_at_once(monkeypatch, ex_bidiag5):
@@ -517,11 +518,14 @@ def test_exhaustive_mode_reproduces_heuristic_failure(ex_bidiag10):
     ids=["n6-s75-unconverged-heuristic", "n8-s78-unconverged-heuristic",
          "n6-s92-heuristic-raises"],
 )
-def test_exhaustive_mode_returns_the_smallest_converged_pair(n, seed, heuristic_raises):
+def test_exhaustive_mode_returns_the_smallest_converged_pair(
+        monkeypatch, n, seed, heuristic_raises):
     # Scaled complex Gaussian matrices on which the heuristic pair does not
-    # converge (it stops with bisector_below_level, or its solve raises
-    # BoundaryHitError) while other pairs do: the scan returns the best
-    # converged pair, not the heuristic's estimate.
+    # converge (it stops with bisector_below_level; on n6-s92 its solve is
+    # made to raise BoundaryHitError) while other pairs do: the scan returns
+    # the best converged pair, not the heuristic's estimate.
+    if heuristic_raises:
+        _counted_local_solves(monkeypatch, _boundary_hit)
     rng = np.random.default_rng(seed)
     a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
     res = wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
@@ -548,6 +552,28 @@ def test_exhaustive_scan_prepares_the_matrix_once(monkeypatch, ex_bidiag5):
     res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
     assert res.pair_scan is not None and len(res.pair_scan) == 10
     assert calls == {"eigenvalues": 1, "spectral_norm": 1}
+
+
+def test_exhaustive_scan_clips_and_samples_the_diagram_once(monkeypatch, ex_bidiag5):
+    # The heuristic and the prune share the prepared matrix's Voronoi stage;
+    # the prune samples only the four sides of the region on its own.
+    edges, sampled = [], []
+    clip, sample_min = wk.voronoi_edges, wk._sample_min
+
+    def counted_clip(*args):
+        edges.append(clip(*args))
+        return edges[-1]
+
+    def counted_sample(*args):
+        sampled.append(args)
+        return sample_min(*args)
+
+    monkeypatch.setattr(wk, "voronoi_edges", counted_clip)
+    monkeypatch.setattr(wk, "_sample_min", counted_sample)
+    res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
+    assert _skipped(res)  # the prune ran
+    assert len(edges) == 1
+    assert len(sampled) == len(edges[0]) + 4
 
 
 def test_exhaustive_scan_builds_one_sigma_min_field(monkeypatch, ex_bidiag5):
@@ -590,6 +616,21 @@ def test_default_mode_is_the_heuristic_pair_of_the_exhaustive_scan(ex_bidiag10):
     assert default.heuristic_pair == scan.heuristic_pair
     assert default.chosen_pair == default.heuristic_pair
     assert default.pair_scan is None
+
+
+@pytest.mark.parametrize("n, seed", [(6, 75), (8, 78), (6, 92)], ids=["n6-s75", "n8-s78", "n6-s92"])
+def test_default_mode_falls_back_to_the_next_voronoi_pair(n, seed):
+    # The heuristic pair does not converge on these matrices; the default run
+    # goes on through the other Voronoi pairs and returns the first that does.
+    a = _random_matrix("scaled", n, seed)
+    res = wilkinson_distance(a)
+    assert res.converged and res.pair_scan is None
+    assert {*res.chosen_pair} != {*res.heuristic_pair}
+    scan = wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
+    assert res.heuristic_pair == scan.heuristic_pair
+    assert res.heuristic_epsilon == scan.heuristic_epsilon
+    (entry,) = [e for e in scan.pair_scan if {*e["pair"]} == {*res.chosen_pair}]
+    assert entry["converged"] and res.epsilon_bar_estimate == entry["epsilon"]
 
 
 def _skipped(res):
@@ -638,6 +679,10 @@ def test_pruned_scan_returns_the_full_scan_result(make, monkeypatch):
             assert kept == solved
 
 
+def _boundary_hit(res):
+    raise BoundaryHitError(wk._c2p(res.coalescence_point))
+
+
 def _counted_local_solves(monkeypatch, first=lambda res: res):
     """Record the pairs ``wilkinson_local`` solves; ``first`` maps the first result."""
     pairs = []
@@ -666,10 +711,10 @@ def test_pruned_scan_solves_few_pairs_of_the_paper_matrices(monkeypatch, request
         assert repr(level) in e["error"]
 
 
-@pytest.mark.parametrize("n, seed", [(6, 92), (6, 75)],
+@pytest.mark.parametrize("n, seed, first", [(6, 92, _boundary_hit), (6, 75, lambda res: res)],
                          ids=["n6-s92-heuristic-raises", "n6-s75-unconverged-heuristic"])
-def test_scan_solves_every_pair_without_a_converged_heuristic(monkeypatch, n, seed):
-    pairs = _counted_local_solves(monkeypatch)
+def test_scan_solves_every_pair_without_a_converged_heuristic(monkeypatch, n, seed, first):
+    pairs = _counted_local_solves(monkeypatch, first)
     res = wilkinson_distance(_random_matrix("scaled", n, seed), WilkinsonOptions(exhaustive=True))
     assert len(pairs) == len(res.pair_scan) == n * (n - 1) // 2
     assert not _skipped(res)

@@ -9,9 +9,11 @@ unpacked ``git archive`` of the parent commit).  The script runs
 ``tools/result_fingerprints.py`` and ``tools/cli_manifest.py`` of this
 checkout twice each, once with ``PARENT_SRC`` on ``PYTHONPATH`` and once with
 this checkout's ``src``, and prints a unified diff of each pair of outputs and
-the ``failed`` counts per workload of both fingerprint runs.  It exits 0 when
-both pairs are identical and 1 otherwise.  OpenBLAS is pinned to one thread in
-every run.  The four runs take a few minutes.
+the ``failed`` counts per workload and seed (voronoi-random at seeds 0-23 and
+8675309) of both fingerprint runs.  It exits 0 when both pairs are identical
+and 1 otherwise.  OpenBLAS is pinned to one thread in every run.  The four
+runs take about 8 minutes on a 2-core host, most of it the two fingerprint
+runs (about 3 minutes per source).
 """
 
 from __future__ import annotations
