@@ -24,7 +24,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import (PreconditionError, ResolutionLimitError, UnsupportedDimensionError,
-                     require_finite_positive)
+                     require_count, require_finite_positive)
 from .fields import Ball, Region, ScalarField, TestProblem
 from .local_solver import pair_path, refine_closest_pair, segment_max
 
@@ -245,8 +245,7 @@ class BisectionOptions:
     def __post_init__(self):
         require_finite_positive("value_tol", self.value_tol)
         require_finite_positive("point_tol", self.point_tol)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        require_count("max_iter", self.max_iter)
         if self.resolution is not None:
             require_finite_positive("resolution", self.resolution)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -11,6 +12,14 @@ def require_finite_positive(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is finite and positive."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
+def require_count(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 class UnsupportedDimensionError(ValueError):

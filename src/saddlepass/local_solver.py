@@ -5,8 +5,10 @@ suspected saddle.  Each iteration minimizes the field on the perpendicular
 bisector hyperplane of the pair (a lower bound on the pass value), then slides
 both points along the segments toward that minimizer as far as the level of
 the minimizer allows.  The maximum of the field on the segment joining the
-pair is an upper bound.  Near a nondegenerate saddle of Morse index 1 both
-bounds converge superlinearly.
+pair is an upper bound.  The paper's superlinear convergence is for the full
+method, with step 1a (:func:`refine_closest_pair`) before every iteration.
+Without ``LocalOptions.do_step_1a`` it runs only on a pair the last iteration
+left in place, and the error ratios are 0.09 to 0.55 on a perturbed quadratic.
 
 All 1-D segment work (minimize, maximize, level crossings) goes to the
 field's own segment methods.  :class:`ScalarField` samples and refines; a
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize as sp_minimize
 
 from .diagnostics import gradient_of, hessian_of
-from .errors import BoundaryHitError, PreconditionError, require_finite_positive
+from .errors import BoundaryHitError, PreconditionError, require_count, require_finite_positive
 from .fields import Region, ScalarField, _Line, _refine_bracket_min
 
 #: Samples per segment when snapping a closest pair to the sublevel boundary,
@@ -435,8 +437,7 @@ class LocalOptions:
     def __post_init__(self):
         require_finite_positive("point_tol", self.point_tol)
         require_finite_positive("gap_tol", self.gap_tol)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        require_count("max_iter", self.max_iter)
 
 
 @dataclass
@@ -479,30 +480,25 @@ def run_local(
     Each iteration produces one :class:`LocalIterate`; the sequence of pair
     levels f(x_i) is nondecreasing and, on smooth nondegenerate problems,
     f_z and M bracket the critical value.  An iteration starts with step 1a,
-    one :func:`refine_closest_pair` sweep, when ``opts.do_step_1a`` is set
-    or the pair distance has stalled.  Stops when the pair distance or the
-    upper/lower gap is small; otherwise returns with ``converged=False``.
+    one :func:`refine_closest_pair` call, when ``opts.do_step_1a`` is set or
+    the last iteration left the pair exactly in place (a plain one would only
+    repeat it).  Stops when the pair distance or the upper/lower gap is small;
+    otherwise returns with ``converged=False``.
     """
     opts = opts or LocalOptions()
     x, y = equalize_endpoints(field, x0, y0)
     initial_pair = (x.copy(), y.copy())
 
     records: list[LocalIterate] = []
-    dists = [float(np.linalg.norm(x - y))]
     converged = False
     reason = "max_iter"
-    last_refine = -10
+    fixed = False
 
     for i in range(1, opts.max_iter + 1):
-        # Step 1a on demand: less than 1% pair-distance progress over the last
-        # 3 iterations, at least 3 iterations after the last sweep.
-        stalled = (i - last_refine >= 3 and len(dists) >= 4
-                   and dists[-4] - dists[-1] < 0.01 * dists[-4])
-        if opts.do_step_1a or stalled:
+        if opts.do_step_1a or fixed:
             x, y = refine_closest_pair(
                 field, region, x, y, field.value(x), point_tol=opts.point_tol
             )
-            last_refine = i
         z, f_z = bisector_minimize(field, region, x, y)
         slack = 1e-12 * (1.0 + abs(f_z))
         if field.value(x) > f_z + slack:
@@ -523,8 +519,8 @@ def run_local(
                 M=m_val, dist=dist, gap_ratio=gap_ratio,
             )
         )
+        fixed = np.array_equal(x_new, x) and np.array_equal(y_new, y)
         x, y = x_new, y_new
-        dists.append(dist)
 
         if dist <= opts.point_tol:
             converged = True

@@ -123,6 +123,8 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
     vertical) segment, and evaluates the midpoints of the sub-level (or
     super-level) intervals.  The midpoint of a chord of a parabola is its
     vertex, which gives locally quadratic convergence of the best value.
+    A sweep depends only on its level, so the loop ends at the first sweep
+    that does not improve, or once no active interval is longer than 1e-12 of it.
     """
     sign = 1.0 if mode == "min" else -1.0
     frame = rotate_to_vertical(a, p, q)
@@ -137,7 +139,6 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
         if sign * v < sign * best:
             best, best_y = v, y
 
-    stall = 0
     for _ in range(_MAX_SWEEPS):
         if best <= 0.0:
             break
@@ -154,10 +155,7 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
             if sign * v < sign * best:
                 best, best_y = v, mid
                 improved = True
-        if max_active <= 1e-12 * ell:
-            break
-        stall = 0 if improved else stall + 1
-        if stall >= 2:
+        if max_active <= 1e-12 * ell or not improved:
             break
     return frame.point_at(best_y), float(best)
 
@@ -492,16 +490,13 @@ def nearest_defective_perturbation(a, z_star: complex) -> np.ndarray:
     """
     m = as_complex_matrix(a)
     z = complex(z_star)
-    u_full, s, vh = np.linalg.svd(m - z * np.eye(m.shape[0]))
-    sigma = float(s[-1])
+    u, s, vh = np.linalg.svd(m - z * np.eye(m.shape[0]))
     if m.shape[0] > 1 and s[-2] - s[-1] < 1e-10:
         warnings.warn(
             "smallest singular value is nearly multiple; singular vectors are ill-conditioned",
             RuntimeWarning,
         )
-    u = u_full[:, -1]
-    v = vh[-1, :].conj()
-    return -sigma * np.outer(u, v.conj())
+    return -s[-1] * np.outer(u[:, -1], vh[-1])
 
 
 def wilkinson_local(

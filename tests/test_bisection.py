@@ -6,6 +6,7 @@ from saddlepass import (
     BisectionOptions,
     Box,
     ComponentQuery,
+    LocalOptions,
     ScalarField,
     SigmaMinField,
     TestProblem,
@@ -270,6 +271,18 @@ def test_bad_resolution_is_rejected_up_front(resolution):
         BisectionOptions(resolution=resolution)
     with pytest.raises(ValueError, match="resolution"):
         ComponentQuery(QS.field, BOX, 0.0, resolution)
+
+
+@pytest.mark.parametrize("options", [BisectionOptions, LocalOptions])
+@pytest.mark.parametrize("max_iter", [float("nan"), 2.5, True])
+def test_max_iter_must_be_an_integer_count(options, max_iter):
+    # A NaN cap would run no iteration and 2.5 would fail inside range();
+    # both are rejected with the other bad option values, as is a bool.
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        options(max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        options(max_iter=0)
+    assert options(max_iter=np.int64(3)).max_iter == 3
 
 
 # ------------------------------------------------------- sample reuse

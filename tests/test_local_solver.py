@@ -320,13 +320,12 @@ def test_run_local_max_iter_flag():
     assert len(run.records) == 2
 
 
-@pytest.mark.parametrize("max_iter, refinements", [(4, 0), (5, 1)])
-def test_run_local_refines_a_stalled_pair_only_before_an_iteration(
-    monkeypatch, max_iter, refinements
-):
-    # The double-well run stalls after its fourth iteration.  With a fifth to
-    # come, one closest-pair sweep runs before it; when the fourth is the
-    # last, the run stops at max_iter without a sweep.
+@pytest.mark.parametrize("max_iter", [2, 3])
+def test_run_local_refines_only_a_pair_the_last_iteration_left_in_place(monkeypatch, max_iter):
+    # The double-well run's second iteration leaves the pair exactly where
+    # the first put it, so a third iteration starts with one closest-pair
+    # sweep; when the second is the last, the run stops at max_iter without
+    # a sweep.
     calls = []
 
     def refine(*args, **kwargs):
@@ -337,9 +336,11 @@ def test_run_local_refines_a_stalled_pair_only_before_an_iteration(
     prob = get_problem("double-well-curve")
     run = run_local(prob.field, prob.region, *prob.endpoints,
                     opts=LocalOptions(max_iter=max_iter))
+    first, second = run.records[:2]
+    assert np.array_equal(second.x, first.x) and np.array_equal(second.y, first.y)
+    assert len(calls) == max_iter - 2
     assert len(run.records) == max_iter
-    assert run.stop_reason == ("max_iter" if max_iter == 4 else "point_tol")
-    assert len(calls) == refinements
+    assert run.stop_reason == ("max_iter" if max_iter == 2 else "point_tol")
 
 
 def test_run_local_one_dimensional_cusp():

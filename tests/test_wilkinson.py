@@ -283,6 +283,23 @@ def test_voronoi_heuristic_prunes_most_byers_eigensolves(monkeypatch):
     assert 0 < calls["byers"] < edges / 2
 
 
+def test_exhaustive_scans_solve_no_byers_block_twice(monkeypatch, ex_bidiag5, ex_bidiag10):
+    # A level sweep depends only on its level, so a segment solve stops at
+    # the first sweep that does not improve; a repeat of it would solve the
+    # same blocks again.
+    seen = Counter()
+    crossings = wk.byers_vertical_crossings
+
+    def recorded(a, x, epsilon):
+        seen[np.ascontiguousarray(a).tobytes(), x, epsilon] += 1
+        return crossings(a, x, epsilon)
+
+    monkeypatch.setattr(wk, "byers_vertical_crossings", recorded)
+    for a in (ex_bidiag5, ex_bidiag10):
+        wilkinson_distance(a, WilkinsonOptions(exhaustive=True))
+    assert seen and max(seen.values()) == 1
+
+
 # ----------------------------------------------------------- local pipeline
 
 def test_wilkinson_local_bidiagonal_value_and_pair_distance(ex_bidiag5):

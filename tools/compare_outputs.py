@@ -6,14 +6,16 @@ Usage::
 
 ``PARENT_SRC`` is the ``src`` directory of another checkout (say, an
 unpacked ``git archive`` of the parent commit).  The script runs
-``tools/result_fingerprints.py`` and ``tools/cli_manifest.py`` of this
-checkout twice each, once with ``PARENT_SRC`` on ``PYTHONPATH`` and once with
-this checkout's ``src``, and prints a unified diff of each pair of outputs and
-the ``failed`` counts per workload and seed (voronoi-random at seeds 0-23 and
-8675309) of both fingerprint runs.  It exits 0 when both pairs are identical
-and 1 otherwise.  OpenBLAS is pinned to one thread in every run.  The four
-runs take about 8 minutes on a 2-core host, most of it the two fingerprint
-runs (about 3 minutes per source).
+``tools/result_fingerprints.py``, ``tools/cli_manifest.py`` and
+``tools/convergence_census.py`` of this checkout twice each, once with
+``PARENT_SRC`` on ``PYTHONPATH`` and once with this checkout's ``src``, and
+prints a unified diff of each pair of outputs, the ``failed`` counts per
+workload and seed (voronoi-random at seeds 0-23 and 8675309) of both
+fingerprint runs, and the line count of each side's ``saddlepass/*.py``.  It
+exits 0 when all three pairs are identical and 1 otherwise.  OpenBLAS is
+pinned to one thread in every run.  The six runs take about 6 minutes on a
+2-core host, most of it the two fingerprint runs; the two census runs take
+about 25 seconds each.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOLS = ("result_fingerprints.py", "cli_manifest.py")
+TOOLS = ("result_fingerprints.py", "cli_manifest.py", "convergence_census.py")
 
 
 def _run(tool: str, src: Path, out: Path) -> str:
@@ -36,12 +38,18 @@ def _run(tool: str, src: Path, out: Path) -> str:
     return out.read_text()
 
 
+def _line_count(src: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (src / "saddlepass").glob("*.py"))
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1 or not (Path(args[0]) / "saddlepass").is_dir():
         print("usage: python tools/compare_outputs.py PARENT_SRC", file=sys.stderr)
         return 1
     sources = {"parent": Path(args[0]).resolve(), "change": ROOT / "src"}
+    for label, src in sources.items():
+        print(f"saddlepass/*.py lines ({label}): {_line_count(src)}")
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
         for tool in TOOLS:

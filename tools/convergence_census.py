@@ -2,14 +2,16 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/convergence_census.py
+    PYTHONPATH=src python tools/convergence_census.py OUT.json
 
 Runs ``wilkinson_distance`` with default options on each input of four
 families and prints, per family, how many runs converged, stopped
 unconverged or raised, how many were wrong (``bench/checks.check_wilkinson``
 found a check that contradicts the result, such as a converged point whose
 Malyshev gap exceeds ``MALYSHEV_RTOL``), the largest relative Malyshev gap of
-a converged result, and the wall time.  The families:
+a converged result, and the wall time.  ``OUT.json`` gets the same counts,
+gaps and notes per family, sorted and without timings, so
+``tools/compare_outputs.py`` can diff two sources.  The families:
 
 - ``random``: the 96 voronoi-random inputs (``bench/workloads``, seeds 0 and
   8675309, 16 each of n = 12, 20 and 28);
@@ -20,11 +22,12 @@ a converged result, and the wall time.  The families:
 - ``diag``: the normal matrix ``diag(0, 2, 5j)``, whose distance is 1 at z = 1.
 
 Each input that does not converge is listed with the stop reason or the error.
-The whole census takes a few minutes on a 2-core host.
+The whole census takes about 25 seconds on a 2-core host.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from pathlib import Path
@@ -71,8 +74,9 @@ FAMILIES = {
 }
 
 
-def census(inputs) -> tuple[dict, list[str]]:
-    """Outcome counts over ``inputs`` and one line per run that did not converge."""
+def census(inputs) -> tuple[dict, list[str], float]:
+    """Outcome counts over ``inputs``, one line per run that did not converge,
+    and the wall time in seconds."""
     counts = {"inputs": 0, "converged": 0, "unconverged": 0, "raised": 0, "wrong": 0,
               "max_gap": 0.0}
     notes = []
@@ -97,23 +101,25 @@ def census(inputs) -> tuple[dict, list[str]]:
             # Results of sources older than ``WilkinsonResult.stop_reason`` lack it.
             reason = getattr(res, "stop_reason", "no stop_reason")
             notes.append(f"{name}: unconverged ({reason}), eps {res.epsilon_bar_estimate:.6g}")
-    counts["seconds"] = time.perf_counter() - start
-    return counts, notes
+    return counts, notes, time.perf_counter() - start
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if args:
-        print("usage: python tools/convergence_census.py", file=sys.stderr)
+    if len(args) != 1:
+        print("usage: python tools/convergence_census.py OUT.json", file=sys.stderr)
         return 1
     print(f"{'family':<10}{'inputs':>7}{'converged':>10}{'unconv':>8}{'raised':>8}"
           f"{'wrong':>7}{'max gap':>10}{'time s':>8}")
+    out = {}
     for family, build in FAMILIES.items():
-        c, notes = census(build())
+        c, notes, seconds = census(build())
         print(f"{family:<10}{c['inputs']:>7}{c['converged']:>10}{c['unconverged']:>8}"
-              f"{c['raised']:>8}{c['wrong']:>7}{c['max_gap']:>10.2g}{c['seconds']:>8.1f}")
+              f"{c['raised']:>8}{c['wrong']:>7}{c['max_gap']:>10.2g}{seconds:>8.1f}")
         for line in notes:
             print(f"    {line}")
+        out[family] = {**c, "notes": notes}
+    Path(args[0]).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 
 
