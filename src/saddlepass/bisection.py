@@ -130,9 +130,8 @@ class _Grid:
 
 def _validate_query_point(q: ComponentQuery, p, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float).reshape(-1)
-    tol = 1e-12 * (1.0 + abs(q.level))
     fp = q.field.value(p)
-    if fp > q.level + tol:
+    if fp > q.level + q.field.level_slack(q.level):
         raise PreconditionError(f"{name} violates f <= level: f={fp}, level={q.level}")
     if not q.region.contains(p):
         raise PreconditionError(f"{name} lies outside the region")
@@ -302,7 +301,7 @@ def bisect(
         upper = float(init_upper)
     if upper < lower:
         raise ValueError(f"initial bounds inverted: lower={lower}, upper={upper}")
-    if lower < max(fa, fb) - 1e-12 * (1.0 + abs(lower)):
+    if lower < max(fa, fb) - field.level_slack(lower):
         raise ValueError("init_lower must be at least max(f(a), f(b))")
 
     h = opts.resolution if opts.resolution is not None else problem.region.diameter() / 512.0

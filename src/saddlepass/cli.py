@@ -224,29 +224,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol_gap, max_iter, need_input=True, step1a=True):
+    def add_common(p, opts, tol_gap, need_input=True, step1a=True):
         if need_input:
             grp = p.add_mutually_exclusive_group(required=True)
             grp.add_argument("--problem", help="catalog problem name")
             grp.add_argument("--matrix", help="path to a matrix file")
-        p.add_argument("--tol-point", type=float, default=1e-10)
+        p.add_argument("--tol-point", type=float, default=opts.point_tol)
         p.add_argument("--tol-gap", type=float, default=tol_gap)
-        p.add_argument("--max-iter", type=int, default=max_iter)
+        p.add_argument("--max-iter", type=int, default=opts.max_iter)
         if step1a:
             p.add_argument("--step1a", action="store_true")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
 
     p_local = sub.add_parser("solve-local", help="fast local level-set iteration")
-    add_common(p_local, 1e-12, 50)
+    add_common(p_local, LocalOptions, LocalOptions.gap_tol)
     p_local.set_defaults(func=cmd_solve_local)
 
     p_bis = sub.add_parser("solve-bisect", help="level bisection with component tests")
-    add_common(p_bis, 1e-6, 80, step1a=False)
+    add_common(p_bis, BisectionOptions, BisectionOptions.value_tol, step1a=False)
     p_bis.set_defaults(func=cmd_solve_bisect)
 
     p_wil = sub.add_parser("wilkinson", help="Wilkinson distance pipeline")
-    add_common(p_wil, 1e-12, 50, need_input=False)
+    add_common(p_wil, LocalOptions, LocalOptions.gap_tol, need_input=False)
     p_wil.add_argument("--matrix", required=True)
     p_wil.add_argument("--exhaustive", action="store_true")
     p_wil.add_argument("--perturbation-out", default=None)

@@ -36,8 +36,8 @@ class BoundaryHitError(RuntimeError):
     The offending boundary point is attached so callers can clamp or report.
     """
 
-    def __init__(self, point, message: str = "minimizer reached the region boundary"):
-        super().__init__(message)
+    def __init__(self, point):
+        super().__init__("minimizer reached the region boundary")
         self.point = np.asarray(point, dtype=float)
 
 
@@ -55,8 +55,8 @@ class ResolutionLimitError(RuntimeError):
 class DegenerateSpectrumError(ValueError):
     """The spectrum has a repeated eigenvalue, so the Wilkinson distance is zero."""
 
-    def __init__(self, eigenvalue: complex, message: str | None = None):
-        super().__init__(message or f"repeated eigenvalue near {eigenvalue}")
+    def __init__(self, eigenvalue: complex):
+        super().__init__(f"repeated eigenvalue near {eigenvalue}")
         self.eigenvalue = eigenvalue
 
 

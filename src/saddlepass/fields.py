@@ -175,6 +175,10 @@ class ScalarField:
         self.grad_count += 1
         return np.asarray(self._gradient(x), dtype=float).reshape(self.dimension)
 
+    def level_slack(self, level: float) -> float:
+        """Roundoff allowance when a field value is compared with ``level``."""
+        return 1e-12 * (1.0 + abs(level))
+
     def _sample(self, p, q):
         """The segment [p, q] as a line over [0, 1], with its coarse samples."""
         p = np.asarray(p, dtype=float)
@@ -238,7 +242,7 @@ class ScalarField:
 
 
 class Ball:
-    """Open ball region ``{x : |x - center| < radius}``."""
+    """Closed ball region ``{x : |x - center| <= radius}``."""
 
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=float).reshape(-1)

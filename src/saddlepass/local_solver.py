@@ -52,10 +52,7 @@ def _hyperplane_basis(unit_normal: np.ndarray) -> np.ndarray:
     e[-1] = 1.0
     v = e - d
     s = float(v @ v)
-    if s < 1e-26:
-        h = np.eye(n)
-    else:
-        h = np.eye(n) - 2.0 * np.outer(v, v) / s
+    h = np.eye(n) if s < 1e-26 else np.eye(n) - 2.0 * np.outer(v, v) / s
     return h[:, : n - 1]
 
 
@@ -75,7 +72,7 @@ def _local_line_minimize(field, origin, direction, tlo, thi, scale):
         vs = line.sample(ts)
         j = int(np.argmin(vs))
         interior = 0 < j < len(ts) - 1
-        if interior or (a <= tlo + 1e-300 and b >= thi - 1e-300) or (a == tlo and b == thi):
+        if interior or (a == tlo and b == thi):
             break
         w *= 2.0
     t, _ = _refine_bracket_min(line, ts, vs)
@@ -220,7 +217,7 @@ def advance_along_segment(field: ScalarField, frm, to, cap: float) -> np.ndarray
     """
     frm = np.asarray(frm, dtype=float)
     to = np.asarray(to, dtype=float)
-    slack = 1e-12 * (1.0 + abs(cap))
+    slack = field.level_slack(cap)
     f_from = field.value(frm)
     if f_from > cap + slack:
         raise PreconditionError(f"f(from) = {f_from} exceeds cap {cap}")
@@ -358,7 +355,7 @@ def refine_closest_pair(
     """
     x = np.asarray(x, dtype=float).copy()
     y = np.asarray(y, dtype=float).copy()
-    tolzero = 1e-12 * (1.0 + abs(level))
+    tolzero = field.level_slack(level)
 
     def _feasible(p, q):
         return field.value(p) <= level + tolzero and field.value(q) <= level + tolzero
@@ -399,7 +396,6 @@ def refine_closest_pair(
             )
             if damped is not None:
                 x_new, y_new = damped
-                new_dist = float(np.linalg.norm(x_new - y_new))
         _note(x_new, y_new)
         movement = max(
             float(np.linalg.norm(x_new - x)), float(np.linalg.norm(y_new - y))
@@ -500,8 +496,7 @@ def run_local(
                 field, region, x, y, field.value(x), point_tol=opts.point_tol
             )
         z, f_z = bisector_minimize(field, region, x, y)
-        slack = 1e-12 * (1.0 + abs(f_z))
-        if field.value(x) > f_z + slack:
+        if field.value(x) > f_z + field.level_slack(f_z):
             reason = "bisector_below_level"
             break
         x_new = advance_along_segment(field, x, z, f_z)

@@ -116,6 +116,11 @@ def test_convergence_rates_exact_markers():
     assert out == [None, None, None]
 
 
+def test_convergence_rates_leaving_the_limit_is_infinite():
+    # An iterate exactly at the limit followed by one off it: a ratio x / 0.
+    assert convergence_rates([1.0, 2.0, 3.0], 2.0) == [0.0, float("inf")]
+
+
 def test_convergence_rates_reported_lower_bound_column():
     # Frozen reference sequence for the 5x5 bidiagonal coalescence problem:
     # each step gains at least four orders of magnitude.

@@ -108,6 +108,15 @@ def test_advance_monotone_segment_returns_to_exactly():
     assert np.array_equal(p, to)
 
 
+def test_advance_without_a_segment_returns_a_copy_of_the_point():
+    # frm == to leaves nothing to search: the field's advance_limit is not asked.
+    f = linear_field()
+    f.advance_limit = lambda *args: pytest.fail("advance_limit called")
+    to = np.array([0.3, 0.0])
+    p = advance_along_segment(f, to, to, 0.5)
+    assert np.array_equal(p, to) and p is not to
+
+
 def test_advance_linear_cap():
     p = advance_along_segment(linear_field(), [0.0, 0.0], [1.0, 0.0], 0.5)
     assert np.allclose(p, [0.5, 0.0], atol=1e-12)

@@ -1,0 +1,44 @@
+"""The output gate's recorder, ``tools/result_fingerprints.py``: the inputs of
+each run, and one recorded Wilkinson result."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "result_fingerprints.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("result_fingerprints", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_each_run_lists_its_inputs(tool, tmp_path):
+    names = {key: [case.name for case in build(tmp_path)] for key, build in tool.RUNS.items()}
+    random = [key for key in names if key.startswith("voronoi-random/")]
+    assert len(random) == 25 and sum(len(names[key]) for key in random) == 1200
+    assert all(names[key] == names["voronoi-random/seed0"] for key in random)
+    assert names["pair-scan/seed0"] == ["bidiag5", "bidiag10"]
+    assert len(names["grid-bisect/seed0"]) == 5
+    assert names["unscaled"] == [f"n{n}-s{s}" for n in (10, 16, 24) for s in range(24)]
+    assert names["real"] == [f"n{n}-s{s}" for n in (12, 20, 28) for s in range(16)]
+    assert names["diag"] == ["diag(0,2,5j)"]
+    assert names["structured"] == [
+        "bidiag5", "bidiag10", "grcar12", "grcar20", "kahan10", "kahan16", "companion8",
+        "jordan8", "triu12-s3", "triu20-s4",
+    ]
+
+
+def test_a_converged_wilkinson_record_has_its_gap(tool, tmp_path):
+    (case,) = tool.RUNS["diag"](tmp_path)
+    entry = tool.record(case)
+    assert entry["converged"] and entry["failures"] == [] and entry["wrong"] == []
+    assert isinstance(entry["stop_reason"], str)
+    assert 0.0 <= entry["gap"] <= 1e-12
+    summary = tool.summarize([entry, {"raised": "BoundaryHitError: boundary"}])
+    assert summary == {"inputs": 2, "converged": 1, "unconverged": 0, "raised": 1, "wrong": 0,
+                       "failed": 1, "max_gap": entry["gap"]}

@@ -854,6 +854,16 @@ def test_wilkinson_local_runs_on_the_prepared_matrix(monkeypatch, ex_bidiag5):
     assert len(fields) == 1 and fields[0] is pm
 
 
+def test_prepared_first_crossing_is_the_start_when_it_already_reaches_the_target(
+        monkeypatch, ex_bidiag5):
+    # sigma at p is above the target, so no level crossing is computed.
+    monkeypatch.setattr(wk, "_level_intervals", lambda *args: pytest.fail("crossing test run"))
+    pm = wk.prepare(ex_bidiag5)
+    p = np.array([0.7, 0.3])
+    out = pm.first_crossing(p, [0.8, 0.4], 0.5 * pm.value(p))
+    assert np.array_equal(out, p) and out is not p
+
+
 def test_sigma_min_field_is_its_own_scalar_field_with_sampled_segments(ex_bidiag5):
     # A plain SigmaMinField keeps the sampled segment methods; only the
     # prepared matrix swaps in the exact ones.

@@ -10,10 +10,11 @@ Each invocation runs in-process through ``saddlepass.cli.main`` of whichever
 the sha256 of stdout and of every file it wrote, the last line of stderr (the
 invocation's own directory shown as ``$OUT``, so adding a row changes no other
 row, and the temporary directory as ``$TMP``), the warnings it raised, and
-whether it ended in a traceback.  The input matrices are written by this
-script's own formatter, so two checkouts read identical bytes, and the JSON is
-sorted and indented, so ``diff parent.json change.json`` lists every changed
-invocation.
+whether it ended in a traceback.  The paper's two bidiagonal matrices come
+from ``bench/workloads``, and every input matrix is written by
+``bench/workloads.write_matrix_text`` of this checkout, so two sources read
+identical bytes.  The JSON is sorted and indented, so
+``diff parent.json change.json`` lists every changed invocation.
 
 Some rows replace a solver in ``saddlepass.cli`` by one that raises, to pin
 the exit code of each numerical failure class.
@@ -35,31 +36,19 @@ import numpy as np
 import saddlepass.cli as cli
 from saddlepass.errors import BoundaryHitError, PreconditionError, ResolutionLimitError
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402  (bench/ is put on the path above)
+
 CATALOG = ("quadratic-saddle", "ps-fail-a", "ps-fail-b", "plateau",
            "double-well-curve", "sqrt-cusp")
 CATALOG_2D = ("quadratic-saddle", "ps-fail-a", "ps-fail-b", "double-well-curve")
 SUBCOMMANDS = ("solve-local", "solve-bisect", "wilkinson", "psgrid", "list-problems")
 
 
-def _bidiagonal(diag, sup) -> np.ndarray:
-    return np.diag(np.array(diag)) + np.diag(np.array(sup), 1)
-
-
 def _matrices() -> dict[str, np.ndarray]:
     """The paper's two bidiagonal matrices and thirteen seeded ones."""
-    out = {
-        "paper5": _bidiagonal(
-            [0.461 + 0.650j, 0.457 + 0.983j, 0.451 + 0.553j, 0.412 + 0.400j,
-             0.902 + 0.199j],
-            [0.006 + 0.625j, 0.297 + 0.733j, 0.049 + 0.376j, 0.693 + 0.010j]),
-        "paper10": _bidiagonal(
-            [0.9850 + 0.7550j, 0.8030 + 0.7810j, 0.2590 + 0.5110j, 0.3840 + 0.5310j,
-             0.0080 + 0.5360j, 0.9780 + 0.2720j, 0.7190 + 0.3100j, 0.5560 + 0.8370j,
-             0.6350 + 0.7630j, 0.5110 + 0.8870j],
-            [0.5330 + 0.5330j, 0.9370 + 0.1190j, 0.7410 + 0.8340j, 0.7480 + 0.8870j,
-             0.6880 + 0.6700j, 0.2510 + 0.7430j, 0.9540 + 0.6590j, 0.2680 + 0.6610j,
-             0.2670 + 0.4340j]),
-    }
+    out = {"paper5": workloads.bidiagonal_5x5(), "paper10": workloads.bidiagonal_10x10()}
     # Complex Gaussian scaled by 1/sqrt(2n) (spectrum in the unit disc),
     # real Gaussian, and unscaled complex Gaussian, each from default_rng(seed).
     for n, seed in ((5, 0), (6, 5), (8, 1), (8, 2), (12, 0), (20, 3)):
@@ -76,12 +65,6 @@ def _matrices() -> dict[str, np.ndarray]:
     # A real spectrum on one line: every Voronoi bisector is vertical.
     out["triu-real-n8-s7"] = np.triu(np.random.default_rng(7).standard_normal((8, 8)))
     return out
-
-
-def _matrix_text(a: np.ndarray) -> str:
-    rows = [" ".join(f"{float(z.real)!r}{float(z.imag):+.17g}j" for z in row)
-            for row in np.asarray(a, dtype=complex)]
-    return f"{a.shape[0]}\n" + "\n".join(rows) + "\n"
 
 
 #: Malformed matrix files: name -> text.
@@ -228,7 +211,7 @@ def build_manifest() -> dict:
         inputs = root / "in"
         inputs.mkdir()
         for name, a in matrices.items():
-            (inputs / f"{name}.txt").write_text(_matrix_text(a))
+            workloads.write_matrix_text(inputs / f"{name}.txt", a)
         for name, text in MALFORMED.items():
             (inputs / f"{name}.txt").write_text(text)
         manifest = {}

@@ -6,22 +6,21 @@ Usage::
 
 ``PARENT_SRC`` is the ``src`` directory of another checkout (say, an
 unpacked ``git archive`` of the parent commit).  The script runs
-``tools/result_fingerprints.py``, ``tools/cli_manifest.py`` and
-``tools/convergence_census.py`` of this checkout twice each, once with
-``PARENT_SRC`` on ``PYTHONPATH`` and once with this checkout's ``src``, and
-prints a unified diff of each pair of outputs, the ``failed`` counts per
-workload and seed (voronoi-random at seeds 0-23 and 8675309) of both
-fingerprint runs, and the line count of each side's ``saddlepass/*.py``.  It
-exits 0 when all three pairs are identical and 1 otherwise.  OpenBLAS is
-pinned to one thread in every run.  The six runs take about 6 minutes on a
-2-core host, most of it the two fingerprint runs; the two census runs take
-about 25 seconds each.
+``tools/result_fingerprints.py`` and ``tools/cli_manifest.py`` of this
+checkout twice each, once with ``PARENT_SRC`` on ``PYTHONPATH`` and once with
+this checkout's ``src``, and prints each run's own output (the fingerprint
+tool's table of counts per run: voronoi-random at seeds 0-23 and 8675309,
+pair-scan, grid-bisect and the unscaled, real, diag and structured Wilkinson
+inputs), a unified diff of each pair of JSON outputs, and the line count of
+each side's ``saddlepass/*.py``.  It exits 0 when both pairs are identical
+and 1 otherwise.  OpenBLAS is pinned to one thread in every run.  The four
+runs take about 6 minutes on a 2-core host, most of it the two fingerprint
+runs.
 """
 
 from __future__ import annotations
 
 import difflib
-import json
 import os
 import subprocess
 import sys
@@ -29,10 +28,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOLS = ("result_fingerprints.py", "cli_manifest.py", "convergence_census.py")
+TOOLS = ("result_fingerprints.py", "cli_manifest.py")
 
 
-def _run(tool: str, src: Path, out: Path) -> str:
+def _run(tool: str, label: str, src: Path, out: Path) -> str:
+    print(f"-- {tool} ({label})", flush=True)
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     subprocess.run([sys.executable, str(ROOT / "tools" / tool), str(out)], env=env, check=True)
     return out.read_text()
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
         for tool in TOOLS:
-            texts = {label: _run(tool, src, Path(tmp) / f"{label}-{tool}.json")
+            texts = {label: _run(tool, label, src, Path(tmp) / f"{label}-{tool}.json")
                      for label, src in sources.items()}
             diff = list(difflib.unified_diff(
                 texts["parent"].splitlines(keepends=True),
@@ -62,9 +62,6 @@ def main(argv=None) -> int:
             ))
             print(f"== {tool}: {'differs' if diff else 'identical'}")
             sys.stdout.writelines(diff)
-            if tool == "result_fingerprints.py":
-                for label, text in texts.items():
-                    print(f"failed ({label}): {json.loads(text)['failed']}")
             differs = differs or bool(diff)
     return 1 if differs else 0
 

@@ -1,19 +1,35 @@
-"""Record the result of every benchmark input, for parent-versus-change diffs.
+"""Record the result of every gate input, for parent-versus-change diffs.
 
 Usage::
 
     PYTHONPATH=src python tools/result_fingerprints.py OUT.json
 
-Builds the voronoi-random (seeds 0-23 and 8675309), pair-scan and
-grid-bisect inputs through ``bench/workloads.build`` and solves each once with
-whichever ``saddlepass`` comes first on the path.  Per input it records the
-bench fingerprint, a sha256 of the full output (the local-iteration records
-and ``pair_scan`` of a Wilkinson result, the history of a bisection), and the
-bench check's failure classes, or the exception the solve raised.  The JSON
-is sorted and indented, so ``diff parent.json change.json`` lists every
-changed input; ``failed`` counts the failed inputs per workload and seed, so
-a change that fails more often on any of the 25 voronoi-random seeds shows
-there.  One run takes about 3 minutes on a 2-core host.
+Solves each input of these runs once with whichever ``saddlepass`` comes
+first on the path:
+
+- ``voronoi-random`` (seeds 0-23 and 8675309), ``pair-scan`` and
+  ``grid-bisect``, built by ``bench/workloads.build``;
+- ``unscaled``: ``g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))``
+  with ``g = default_rng(s)``, n = 10, 16 and 24, s = 0..23;
+- ``real``: ``default_rng(100 + s).standard_normal((n, n)) / sqrt(n)``,
+  n = 12, 20 and 28, s = 0..15;
+- ``diag``: the normal matrix ``diag(0, 2, 5j)``, whose distance is 1 at z = 1;
+- ``structured``: the paper's two bidiagonal matrices and eight
+  pseudospectra-gallery matrices (see ``_structured``).
+
+The last four run ``wilkinson_distance`` at default options, checked by
+``bench/checks.check_wilkinson``.  Per input the JSON records the bench
+fingerprint, a sha256 of the full output (the local-iteration records and
+``pair_scan`` of a Wilkinson result, the history of a bisection), whether it
+converged, its stop reason, the check's failure classes and those among them
+that contradict the result (``wrong``), or else the exception the solve
+raised.  A converged Wilkinson result with eps > 0 also gets its relative
+Malyshev gap ``(malyshev_bound(A, z*) - eps) / eps``.  Per run the JSON counts
+inputs, converged, unconverged, raised, wrong and failed inputs and gives the
+largest gap (at least 0); stdout prints the same rows with wall times.  The
+JSON is sorted and indented, so ``diff parent.json change.json`` lists every
+changed input, and a change that fails more often on any run shows in that
+run's ``failed``.  One run takes about 3 minutes on a 2-core host.
 """
 
 from __future__ import annotations
@@ -23,17 +39,81 @@ import hashlib
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-import workloads  # noqa: E402  (bench/ is put on the path above)
+import checks  # noqa: E402  (bench/ is put on the path above)
+import workloads  # noqa: E402
 
-#: (workload, seed) pairs; pair-scan and grid-bisect do not depend on the seed.
-RUNS = (*(("voronoi-random", seed) for seed in (*range(24), 8675309)), ("pair-scan", 0),
-        ("grid-bisect", 0))
+import saddlepass as sp  # noqa: E402
+
+
+def _wilkinson_cases(inputs) -> list[workloads.Case]:
+    """Default ``wilkinson_distance`` runs on (name, matrix) pairs."""
+    return [workloads.Case(name, lambda a=a: sp.wilkinson_distance(a),
+                           lambda r, a=a: checks.check_wilkinson(a, r),
+                           workloads._wilkinson_fingerprint)  # the bench's own
+            for name, a in inputs]
+
+
+def _unscaled():
+    for n in (10, 16, 24):
+        for s in range(24):
+            g = np.random.default_rng(s)
+            yield f"n{n}-s{s}", g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+
+
+def _real():
+    for n in (12, 20, 28):
+        for s in range(16):
+            yield f"n{n}-s{s}", np.random.default_rng(100 + s).standard_normal((n, n)) / np.sqrt(n)
+
+
+def _structured():
+    """bidiag5 and bidiag10, grcar(12) and grcar(20) (``I`` - subdiagonal + 3
+    superdiagonals), kahan(10) and kahan(16) (``diag(s^k) (I - c strict upper
+    ones)`` with s = sin 1.2, c = cos 1.2), the companion matrix of
+    ``np.poly(1..8)``, an 8x8 Jordan block plus 1e-3 complex noise from
+    ``default_rng(8)``, and the upper triangles of complex Gaussians from
+    ``default_rng(3)`` (n = 12) and ``default_rng(4)`` (n = 20)."""
+    yield "bidiag5", workloads.bidiagonal_5x5()
+    yield "bidiag10", workloads.bidiagonal_10x10()
+    for n in (12, 20):
+        yield f"grcar{n}", sum(np.eye(n, k=k) for k in range(4)) - np.eye(n, k=-1)
+    s, c = np.sin(1.2), np.cos(1.2)
+    for n in (10, 16):
+        yield f"kahan{n}", np.diag(s ** np.arange(n)) @ (
+            np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    yield "companion8", scipy.linalg.companion(np.poly(np.arange(1, 9)))
+    g = np.random.default_rng(8)
+    yield "jordan8", np.eye(8, k=1) + 1e-3 * (g.standard_normal((8, 8))
+                                              + 1j * g.standard_normal((8, 8)))
+    for n, seed in ((12, 3), (20, 4)):
+        g = np.random.default_rng(seed)
+        yield f"triu{n}-s{seed}", np.triu(g.standard_normal((n, n))
+                                          + 1j * g.standard_normal((n, n)))
+
+
+def _bench(name: str, seed: int):
+    return lambda tmp: workloads.build(name, seed, tmp).cases
+
+
+#: Run name -> builder of its cases from a scratch directory.
+RUNS = {
+    **{f"voronoi-random/seed{seed}": _bench("voronoi-random", seed)
+       for seed in (*range(24), 8675309)},
+    "pair-scan/seed0": _bench("pair-scan", 0),
+    "grid-bisect/seed0": _bench("grid-bisect", 0),
+    "unscaled": lambda tmp: _wilkinson_cases(_unscaled()),
+    "real": lambda tmp: _wilkinson_cases(_real()),
+    "diag": lambda tmp: _wilkinson_cases([("diag(0,2,5j)", np.diag([0.0, 2.0, 5.0j]))]),
+    "structured": lambda tmp: _wilkinson_cases(_structured()),
+}
 
 
 def _canon(obj):
@@ -68,25 +148,52 @@ def record(case) -> dict:
         out = case.solve()
     except Exception as err:  # a raising solve is an outcome to record
         return {"raised": f"{type(err).__name__}: {err}"}
-    return {
+    verdict = case.check(out)
+    entry = {
         "fingerprint": repr(_canon(case.fingerprint(out))),
         "output_sha256": _digest(_output(out)),
-        "failures": case.check(out).failures,
+        "converged": bool(out.converged),
+        "stop_reason": out.stop_reason,
+        "failures": verdict.failures,
+        "wrong": verdict.wrong,
+    }
+    if not hasattr(out, "history") and out.converged and out.epsilon_bar_estimate > 0.0:
+        eps = out.epsilon_bar_estimate
+        entry["gap"] = (checks.malyshev_bound(out.matrix, out.coalescence_point) - eps) / eps
+    return entry
+
+
+def summarize(entries: list[dict]) -> dict:
+    """Outcome counts of one run's records, and its largest gap."""
+    solved = [e for e in entries if "raised" not in e]
+    converged = sum(e["converged"] for e in solved)
+    return {
+        "inputs": len(entries),
+        "converged": converged,
+        "unconverged": len(solved) - converged,
+        "raised": len(entries) - len(solved),
+        "wrong": sum(bool(e["wrong"]) for e in solved),
+        "failed": len(entries) - sum(not e["failures"] for e in solved),
+        "max_gap": max([0.0, *(e["gap"] for e in solved if "gap" in e)]),
     }
 
 
+_COUNTS = ("inputs", "converged", "unconverged", "raised", "wrong", "failed")
+
+
 def build_fingerprints() -> dict:
-    results, failed = {}, {}
+    print(f"{'run':<27}" + "".join(f"{k:>{len(k) + 2}}" for k in _COUNTS)
+          + f"{'max gap':>10}{'time s':>8}")
+    runs, inputs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, seed in RUNS:
-            key = f"{name}/seed{seed}"
-            wl = workloads.build(name, seed, Path(tmp))
-            failed[key] = 0
-            for case in wl.cases:
-                entry = record(case)
-                failed[key] += bool(entry.get("raised") or entry["failures"])
-                results[f"{key}/{case.name}"] = entry
-    return {"failed": failed, "inputs": results}
+        for key, build in RUNS.items():
+            start = time.perf_counter()
+            entries = {f"{key}/{case.name}": record(case) for case in build(Path(tmp))}
+            inputs.update(entries)
+            runs[key] = summary = summarize(list(entries.values()))
+            print(f"{key:<27}" + "".join(f"{summary[k]:>{len(k) + 2}}" for k in _COUNTS)
+                  + f"{summary['max_gap']:>10.2g}{time.perf_counter() - start:>8.1f}", flush=True)
+    return {"runs": runs, "inputs": inputs}
 
 
 def main(argv=None) -> int:
