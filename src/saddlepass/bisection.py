@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -120,9 +121,17 @@ class _Grid:
         _, jy, jx = min(near)
         return int(self.labels[jy, jx])
 
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """Cells of the mask whose four neighbors are all in the mask."""
+        return ndimage.binary_erosion(self.mask, structure=_CROSS, border_value=0)
+
     def component_cells(self, label: int) -> np.ndarray:
+        """Centers of the component's boundary cells (all its cells if none).
+        A component cell whose four neighbors are in the mask has them in the
+        component too, so one erosion of the mask serves every label."""
         comp = self.labels == label
-        boundary = comp & ~ndimage.binary_erosion(comp, structure=_CROSS, border_value=0)
+        boundary = comp & ~self.interior
         if not boundary.any():
             boundary = comp
         return self.samples.points(boundary)

@@ -3,8 +3,10 @@
 A :class:`ScalarField` is an evaluatable map from R^n to R that is also its
 own solver for the four 1-D problems on segments the local iteration reduces
 to: minimize, maximize, advance to a level, and first crossing.  The methods
-here sample each segment and refine; a field with an exact 1-D solver (the
-sigma_min field of a prepared matrix) overrides them.  Fields are pure value
+here sample each segment and refine, the extrema by bounded Brent plus Newton
+polish; a field with an exact 1-D solver (the sigma_min field of a prepared
+matrix) overrides them.  The closest-pair line search instead solves for a zero
+of :meth:`_Line.slope` when the field has a gradient.  Fields are pure value
 objects: the only mutable state is the pair of evaluation counters, which
 never influences computed values and is excluded from equality.  Counter
 updates are plain integer increments; under concurrent use they may undercount,
@@ -31,16 +33,18 @@ _NEWTON_STEPS = 3
 # 1-D helpers on parameterized segments
 # --------------------------------------------------------------------------
 
-def _newton_polish_1d(phi, t, lo, hi):
+def _newton_polish_1d(phi, t, lo, hi, f0=None):
     """Sharpen a 1-D minimizer with finite-difference Newton steps.
 
     Exact for quadratics (central differences have no truncation error there),
     which is what makes one-step convergence on pure quadratic saddles land at
-    machine precision.
+    machine precision.  ``f0``, when given, is ``phi(t)`` as ``phi`` itself
+    computed it.  Returns the polished parameter and ``phi`` there.
     """
+    if f0 is None:
+        f0 = phi(t)
     for _ in range(_NEWTON_STEPS):
         h = 1e-6 * (1.0 + abs(t))
-        f0 = phi(t)
         fp = phi(t + h)
         fm = phi(t - h)
         d1 = (fp - fm) / (2.0 * h)
@@ -51,26 +55,30 @@ def _newton_polish_1d(phi, t, lo, hi):
         t_new = t + step
         if not (lo <= t_new <= hi) or not np.isfinite(t_new):
             break
-        if phi(t_new) > f0 + 1e-15 * (1.0 + abs(f0)):
+        f_new = phi(t_new)
+        if f_new > f0 + 1e-15 * (1.0 + abs(f0)):
             break
-        t = t_new
+        t, f0 = t_new, f_new
         if abs(step) <= 1e-15 * (1.0 + abs(t)):
             break
-    return t
+    return t, f0
 
 
 def _refine_bracket_min(phi, ts, vs):
-    """Best sample -> bounded Brent on the bracketing neighbors -> polish."""
+    """Best sample -> bounded Brent on the bracketing neighbors -> polish.
+
+    Returns a value ``phi`` computed, never a batched sample from ``vs``: the
+    two may differ in the last bits.
+    """
     j = int(np.argmin(vs))
     lo = ts[max(j - 1, 0)]
     hi = ts[min(j + 1, len(ts) - 1)]
-    t_best, v_best = ts[j], vs[j]
+    t_best, f_best = ts[j], None
     if hi > lo:
         res = minimize_scalar(phi, bounds=(lo, hi), method="bounded", options={"xatol": _XATOL})
-        if res.fun <= v_best:
-            t_best, v_best = float(res.x), float(res.fun)
-    t_best = _newton_polish_1d(phi, t_best, ts[0], ts[-1])
-    return t_best, phi(t_best)
+        if res.fun <= vs[j]:
+            t_best, f_best = float(res.x), float(res.fun)
+    return _newton_polish_1d(phi, t_best, ts[0], ts[-1], f_best)
 
 
 class _Line:
@@ -94,6 +102,18 @@ class _Line:
     def root(self, level: float, a: float, b: float) -> float:
         """A parameter in [a, b] where the field crosses ``level``."""
         return brentq(lambda t: self(t) - level, a, b, xtol=1e-15)
+
+    def slope(self, t) -> float:
+        """The derivative in t, from the field's gradient at ``at(t)``."""
+        return float(self.field.grad(self.at(t)) @ self.direction)
+
+    def stationary(self, a: float, b: float) -> Optional[float]:
+        """A parameter in [a, b] where the slope vanishes; None when the slope
+        keeps its sign on [a, b]."""
+        try:
+            return brentq(self.slope, a, b, xtol=1e-15)
+        except ValueError:  # brentq's "f(a) and f(b) must have different signs"
+            return None
 
 
 class ScalarField:

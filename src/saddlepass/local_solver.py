@@ -59,9 +59,12 @@ def _hyperplane_basis(unit_normal: np.ndarray) -> np.ndarray:
 def _local_line_minimize(field, origin, direction, tlo, thi, scale):
     """Local 1-D minimizer of the field along a line, near parameter 0.
 
-    Searches a window that doubles until it contains an interior minimum or
-    exhausts the feasible interval; refines with bounded Brent plus Newton
-    polish.  Returns the parameter value.
+    Searches a window of 33 samples that doubles until it contains an interior
+    minimum or exhausts the feasible interval.  With an interior best sample
+    and a field gradient, it solves phi'(t) = 0 on that sample's bracket of
+    neighbors.  Otherwise, or when phi' keeps its sign on the bracket or phi at
+    its zero is above the best sample, it refines with bounded Brent plus
+    Newton polish.  Returns the parameter and the field value there.
     """
     line = _Line(field, origin, direction)
     w = max(scale, 1e-8)
@@ -75,8 +78,13 @@ def _local_line_minimize(field, origin, direction, tlo, thi, scale):
         if interior or (a == tlo and b == thi):
             break
         w *= 2.0
-    t, _ = _refine_bracket_min(line, ts, vs)
-    return t
+    if interior and field.has_gradient:
+        t = line.stationary(ts[j - 1], ts[j + 1])
+        if t is not None:
+            v = line(t)
+            if v <= vs[j]:
+                return t, v
+    return _refine_bracket_min(line, ts, vs)
 
 
 def minimize_on_hyperplane(
@@ -121,9 +129,8 @@ def minimize_on_hyperplane(
             z, fz = field.minimize(through + tlo * u, through + thi * u)
             t_star = float((z - through) @ u)
         else:
-            t_star = _local_line_minimize(field, through, u, tlo, thi, scale=nn)
+            t_star, fz = _local_line_minimize(field, through, u, tlo, thi, scale=nn)
             z = through + t_star * u
-            fz = field.value(z)
         if t_star <= tlo + 1e-9 * span or t_star >= thi - 1e-9 * span:
             raise BoundaryHitError(z)
         return z, float(fz)

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from saddlepass import (
     Ball,
@@ -351,3 +354,17 @@ def test_reused_samples_give_the_standalone_pair_bit_for_bit(monkeypatch, case):
         assert alone.y.tobytes() == res.y.tobytes()
         assert alone.dist == res.dist
         assert alone.on_boundary == res.on_boundary
+
+
+def test_one_erosion_of_the_mask_gives_every_components_boundary():
+    # A component cell whose four neighbors are all in the mask has them in
+    # the component, so eroding the mask once matches eroding each label.
+    rng = np.random.default_rng(12)
+    for density in (0.3, 0.5, 0.6, 0.7, 0.9):
+        samples = SimpleNamespace(vals=rng.random((40, 50)), inside=rng.random((40, 50)) < 0.95)
+        grid = bisection._Grid(samples, density)
+        assert grid.nlabels > 0
+        for label in range(1, grid.nlabels + 1):
+            comp = grid.labels == label
+            own = ndimage.binary_erosion(comp, structure=bisection._CROSS, border_value=0)
+            assert np.array_equal(comp & ~grid.interior, comp & ~own)

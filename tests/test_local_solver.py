@@ -21,6 +21,7 @@ from saddlepass import (
 from saddlepass import local_solver
 from saddlepass.diagnostics import hessian_of
 from saddlepass.errors import PreconditionError
+from saddlepass.fields import _Line
 from saddlepass.local_solver import _pair_kkt_polish, minimize_on_hyperplane
 
 from conftest import perturbed_quadratic
@@ -451,7 +452,8 @@ def test_line_minimize_scans_each_window_in_one_batch(monkeypatch, ex_bidiag5):
 
     monkeypatch.setattr(field, "value", counted_value)
     monkeypatch.setattr(field, "value_many", counted_value_many)
-    # Keep only the window scans: no Brent or Newton refinement.
+    # Keep only the window scans: no slope solve, Brent or Newton refinement.
+    monkeypatch.setattr(_Line, "stationary", lambda self, a, b: None)
     monkeypatch.setattr(local_solver, "_refine_bracket_min",
                         lambda phi, ts, vs: (ts[np.argmin(vs)], vs.min()))
     local_solver._local_line_minimize(field, np.array([0.45, 0.6]), np.array([1.0, 0.0]),
@@ -459,6 +461,63 @@ def test_line_minimize_scans_each_window_in_one_batch(monkeypatch, ex_bidiag5):
     assert len(sizes) >= 2
     assert sizes == [33] * len(sizes)
     assert singles == []
+
+
+def _line_minimize_singles(monkeypatch, field, *args):
+    """``_local_line_minimize``'s result and its single value and gradient calls."""
+    calls = []
+    value, grad = field.value, field.grad
+    monkeypatch.setattr(field, "value", lambda x: calls.append("value") or value(x))
+    monkeypatch.setattr(field, "grad", lambda x: calls.append("grad") or grad(x))
+    return local_solver._local_line_minimize(field, *args), calls
+
+
+def test_line_minimize_solves_the_slope_on_a_sigma_field(monkeypatch, ex_bidiag5):
+    # The gradient path lands where the analytic slope vanishes, with fewer
+    # single SVDs than bounded Brent plus the finite-difference polish.
+    args = (np.array([0.45, 0.6]), np.array([1.0, 0.0]), -0.3, 0.3, 1e-2)
+    (t_grad, v_grad), grad_calls = _line_minimize_singles(
+        monkeypatch, SigmaMinField(ex_bidiag5), *args)
+    with monkeypatch.context() as m:
+        m.setattr(_Line, "stationary", lambda self, a, b: None)
+        (t_brent, v_brent), brent_calls = _line_minimize_singles(
+            m, SigmaMinField(ex_bidiag5), *args)
+    assert "grad" in grad_calls and "grad" not in brent_calls
+    assert len(grad_calls) < len(brent_calls)
+    assert abs(t_grad - t_brent) <= 1e-12 * (1.0 + abs(t_brent))
+    line = _Line(SigmaMinField(ex_bidiag5), args[0], args[1])
+    assert abs(line.slope(t_grad)) < abs(line.slope(t_brent))
+    assert v_grad == line(t_grad) and v_brent == line(t_brent)
+
+
+def test_line_minimize_without_a_gradient_takes_the_brent_path(monkeypatch):
+    # A gradient-free field never reaches the slope solve, and the result is
+    # the Brent path's own, bit for bit.
+    def never(self, a, b):
+        raise AssertionError("slope solve on a field without a gradient")
+
+    refined = []
+    refine = local_solver._refine_bracket_min
+    monkeypatch.setattr(_Line, "stationary", never)
+    monkeypatch.setattr(local_solver, "_refine_bracket_min",
+                        lambda phi, ts, vs: refined.append(refine(phi, ts, vs)) or refined[-1])
+    plateau = get_problem("plateau").field
+    flat_quadratic = ScalarField(2, make_quadratic_field([1.0, 3.0]).value)
+    for field, origin, direction in ((plateau, [0.5], [1.0]),
+                                     (flat_quadratic, [0.5, -0.25], [1.0, 1.0])):
+        out = local_solver._local_line_minimize(
+            field, np.array(origin), np.array(direction), -1.0, 1.0, 0.3)
+        assert out == refined[-1]
+    assert len(refined) == 2
+
+
+def test_line_minimize_lands_on_a_quadratics_minimizer():
+    # phi(t) = (0.5 + t)^2 + 3 (t - 0.25)^2 has its minimum at t = 1/16.
+    field = make_quadratic_field([1.0, 3.0])
+    t, v = local_solver._local_line_minimize(
+        field, np.array([0.5, -0.25]), np.array([1.0, 1.0]), -1.0, 1.0, 0.3)
+    assert field.grad_count > 0
+    assert t == 0.0625 and v == 0.421875
 
 
 def test_run_local_step_1a_stops_on_the_gap():
