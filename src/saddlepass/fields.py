@@ -21,6 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from .errors import require_count
+
 #: Uniform samples per segment for the sampled segment methods' coarse search,
 #: then the bounded Brent search's absolute tolerance on the best sample's
 #: bracket and the finite-difference Newton steps that polish its result.
@@ -133,7 +135,8 @@ class ScalarField:
         finite-difference schemes.
     batch_evaluate : callable, optional
         Vectorized evaluation over an ``(m, n)`` array of points, returning an
-        ``(m,)`` array.  Used by grid samplers; falls back to a Python loop.
+        ``(m,)`` array; every sampled search calls it (a Python loop over
+        ``evaluate`` otherwise).  Catalog fields derive ``evaluate`` from it.
     name : str
         Identifier used in reports.
     differentiable : bool
@@ -158,8 +161,7 @@ class ScalarField:
         name: str = "",
         differentiable: bool = True,
     ):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        require_count("dimension", dimension)
         self.dimension = int(dimension)
         self._evaluate = evaluate
         self._gradient = gradient
@@ -378,6 +380,12 @@ class TestProblem:
             self.known_saddle = (np.asarray(pt, dtype=float).reshape(-1), float(val))
 
 
+def _catalog_field(dimension, ev_many, gradient=None, **kwargs) -> ScalarField:
+    """A field whose scalar value is its batched formula at one point, bit for bit."""
+    return ScalarField(dimension, lambda x: ev_many(x[None, :])[0], gradient,
+                       batch_evaluate=ev_many, **kwargs)
+
+
 def make_quadratic_field(diag: Sequence[float]) -> ScalarField:
     """Diagonal quadratic ``x -> sum_j a_j x_j**2`` with exact gradient.
 
@@ -388,16 +396,13 @@ def make_quadratic_field(diag: Sequence[float]) -> ScalarField:
     if a.size == 0:
         raise ValueError("diagonal vector must be nonempty")
 
-    def ev(x):
-        return float(a @ (x * x))
-
     def gr(x):
         return 2.0 * a * x
 
     def ev_many(pts):
         return (pts * pts) @ a
 
-    return ScalarField(a.size, ev, gr, batch_evaluate=ev_many, name=f"quadratic{a.tolist()}")
+    return _catalog_field(a.size, ev_many, gr, name=f"quadratic{a.tolist()}")
 
 
 def _quadratic_saddle() -> TestProblem:
@@ -413,16 +418,13 @@ def _quadratic_saddle() -> TestProblem:
 
 
 def _ps_fail_a() -> TestProblem:
-    def ev(x):
-        return float(np.exp(-x[0]) - x[1] ** 2)
-
     def gr(x):
         return np.array([-np.exp(-x[0]), -2.0 * x[1]])
 
     def ev_many(p):
         return np.exp(-p[:, 0]) - p[:, 1] ** 2
 
-    f = ScalarField(2, ev, gr, batch_evaluate=ev_many, name="ps-fail-a")
+    f = _catalog_field(2, ev_many, gr, name="ps-fail-a")
     return TestProblem(
         name="ps-fail-a",
         field=f,
@@ -432,9 +434,6 @@ def _ps_fail_a() -> TestProblem:
 
 
 def _ps_fail_b() -> TestProblem:
-    def ev(x):
-        return float(np.exp(-2.0 * x[0]) - x[1] ** 2 * np.exp(-x[0]))
-
     def gr(x):
         e1 = np.exp(-x[0])
         return np.array([-2.0 * np.exp(-2.0 * x[0]) + x[1] ** 2 * e1, -2.0 * x[1] * e1])
@@ -442,7 +441,7 @@ def _ps_fail_b() -> TestProblem:
     def ev_many(p):
         return np.exp(-2.0 * p[:, 0]) - p[:, 1] ** 2 * np.exp(-p[:, 0])
 
-    f = ScalarField(2, ev, gr, batch_evaluate=ev_many, name="ps-fail-b")
+    f = _catalog_field(2, ev_many, gr, name="ps-fail-b")
     return TestProblem(
         name="ps-fail-b",
         field=f,
@@ -454,19 +453,11 @@ def _ps_fail_b() -> TestProblem:
 def _plateau() -> TestProblem:
     # Piecewise-linear with a flat segment of local minima on [-1, 1].
     # Nonsmooth at the two hinges, so no gradient is reported.
-    def ev(x):
-        t = x[0]
-        if t <= -1.0:
-            return float(t)
-        if t >= 1.0:
-            return float(-t)
-        return -1.0
-
     def ev_many(p):
         t = p[:, 0]
         return np.where(t <= -1.0, t, np.where(t >= 1.0, -t, -1.0))
 
-    f = ScalarField(1, ev, batch_evaluate=ev_many, name="plateau", differentiable=False)
+    f = _catalog_field(1, ev_many, name="plateau", differentiable=False)
     return TestProblem(
         name="plateau",
         field=f,
@@ -476,9 +467,6 @@ def _plateau() -> TestProblem:
 
 
 def _double_well_curve() -> TestProblem:
-    def ev(x):
-        return float((x[1] - x[0] ** 2) * (x[0] - x[1] ** 2))
-
     def gr(x):
         u = x[1] - x[0] ** 2
         v = x[0] - x[1] ** 2
@@ -487,7 +475,7 @@ def _double_well_curve() -> TestProblem:
     def ev_many(p):
         return (p[:, 1] - p[:, 0] ** 2) * (p[:, 0] - p[:, 1] ** 2)
 
-    f = ScalarField(2, ev, gr, batch_evaluate=ev_many, name="double-well-curve")
+    f = _catalog_field(2, ev_many, gr, name="double-well-curve")
     return TestProblem(
         name="double-well-curve",
         field=f,
@@ -501,13 +489,10 @@ def _double_well_curve() -> TestProblem:
 
 def _sqrt_cusp() -> TestProblem:
     # f(x) = -sqrt(|x|); not Lipschitz at 0, so no gradient is reported.
-    def ev(x):
-        return float(-np.sqrt(np.abs(x[0])))
-
     def ev_many(p):
         return -np.sqrt(np.abs(p[:, 0]))
 
-    f = ScalarField(1, ev, batch_evaluate=ev_many, name="sqrt-cusp", differentiable=False)
+    f = _catalog_field(1, ev_many, name="sqrt-cusp", differentiable=False)
     return TestProblem(
         name="sqrt-cusp",
         field=f,

@@ -77,13 +77,29 @@ def test_evaluate_deterministic_bit_identical():
 
 
 def test_batch_evaluate_matches_pointwise():
+    # Scalar and batched values are one formula, so they agree bit for bit.
+    # Two hand-written copies of a formula disagree at about 1 point in 1,000,
+    # hence the 5,000 points per field.
     rng = np.random.default_rng(2)
     for p in builtin_problems():
         lo, hi = p.region.bounding_box()
-        pts = rng.uniform(lo, hi, size=(50, p.field.dimension))
+        pts = rng.uniform(lo, hi, size=(5000, p.field.dimension))
         batch = p.field.value_many(pts)
         single = np.array([p.field.value(x) for x in pts])
         assert np.array_equal(batch, single), p.name
+        before = p.field.eval_count
+        p.field.value(pts[0])
+        assert p.field.eval_count == before + 1, p.name
+
+
+@pytest.mark.parametrize("dimension", [0, 2.5, True, "2"])
+def test_field_dimension_must_be_a_positive_integer(dimension):
+    with pytest.raises(ValueError, match="dimension"):
+        ScalarField(dimension, lambda x: 0.0)
+
+
+def test_field_dimension_accepts_numpy_integers():
+    assert ScalarField(np.int64(3), lambda x: 0.0).dimension == 3
 
 
 def test_first_crossing_is_the_start_when_it_already_reaches_the_target():

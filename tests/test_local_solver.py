@@ -208,6 +208,32 @@ def test_refine_never_lengthens_the_pair():
         assert f.value(x) <= level + 1e-9 and f.value(y) <= level + 1e-9
 
 
+def test_refine_returns_the_best_pair_it_saw(monkeypatch):
+    # One closest-pair call of `bisect(get_problem("ps-fail-b"))`: the first
+    # sweep gives the shortest pair, later sweeps and the polish wander off,
+    # so the pair returned is the best one seen, not the last.
+    prob = get_problem("ps-fail-b")
+    x0 = np.array([2.8503509037762704, -0.3066180977565329])
+    y0 = np.array([2.8503509037762704, 0.30342010305167255])
+    seen = [float(np.linalg.norm(x0 - y0))]
+
+    def record(fn):
+        def wrapped(*args, **kwargs):
+            pair = fn(*args, **kwargs)
+            if pair is not None:
+                seen.append(float(np.linalg.norm(pair[0] - pair[1])))
+            return pair
+        return wrapped
+
+    for name in ("_segment_crossing_pair", "_pair_kkt_polish"):
+        monkeypatch.setattr(local_solver, name, record(getattr(local_solver, name)))
+    x, y = refine_closest_pair(prob.field, prob.region, x0, y0, -0.001953125)
+    dist = float(np.linalg.norm(x - y))
+    assert dist <= seen[0]
+    assert dist == min(seen)
+    assert seen[-1] > dist
+
+
 def test_pair_kkt_polish_evaluates_each_gradient_once_per_step(monkeypatch):
     # Each Newton step of the closest-pair polish takes 2n gradients per
     # finite-difference Hessian and one gradient at each new point; the
