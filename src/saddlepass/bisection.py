@@ -127,14 +127,10 @@ class _Grid:
         return ndimage.binary_erosion(self.mask, structure=_CROSS, border_value=0)
 
     def component_cells(self, label: int) -> np.ndarray:
-        """Centers of the component's boundary cells (all its cells if none).
+        """Centers of the component's boundary cells.
         A component cell whose four neighbors are in the mask has them in the
         component too, so one erosion of the mask serves every label."""
-        comp = self.labels == label
-        boundary = comp & ~self.interior
-        if not boundary.any():
-            boundary = comp
-        return self.samples.points(boundary)
+        return self.samples.points((self.labels == label) & ~self.interior)
 
 
 def _validate_query_point(q: ComponentQuery, p, name: str) -> np.ndarray:
@@ -289,9 +285,9 @@ def bisect(
 
     Defaults: lower bound is the larger endpoint value; upper bound is the
     maximum of the field on the straight segment between the endpoints (the
-    maximum along any path is an upper bound).  Each iteration halves the
-    bracket; when the midpoint level separates the endpoints, the closest pair
-    between their components becomes the new witness pair.
+    maximum along any path is an upper bound); given bounds must be finite.
+    Each iteration halves the bracket; when the midpoint level separates the
+    endpoints, the closest pair between their components becomes the new witness pair.
     """
     opts = opts or BisectionOptions()
     field = problem.field
@@ -299,15 +295,14 @@ def bisect(
         raise UnsupportedDimensionError(
             f"bisect requires a 2-dimensional field, got {field.dimension}"
         )
+    for name, bound in (("init_lower", init_lower), ("init_upper", init_upper)):
+        if bound is not None and not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
     a, b = problem.endpoints
     fa = field.value(a)
     fb = field.value(b)
     lower = max(fa, fb) if init_lower is None else float(init_lower)
-    if init_upper is None:
-        upper, _ = segment_max(field, a, b)
-        upper = max(upper, lower)
-    else:
-        upper = float(init_upper)
+    upper = max(segment_max(field, a, b)[0], lower) if init_upper is None else float(init_upper)
     if upper < lower:
         raise ValueError(f"initial bounds inverted: lower={lower}, upper={upper}")
     if lower < max(fa, fb) - field.level_slack(lower):

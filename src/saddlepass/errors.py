@@ -9,8 +9,8 @@ import numpy as np
 
 
 def require_finite_positive(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is finite and positive."""
-    if not (value > 0 and math.isfinite(value)):
+    """Raise ValueError naming ``name`` unless ``value`` is finite, positive and not a bool."""
+    if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 

@@ -21,50 +21,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from .diagnostics import _newton_polish_1d
 from .errors import require_count
 
 #: Uniform samples per segment for the sampled segment methods' coarse search,
 #: then the bounded Brent search's absolute tolerance on the best sample's
-#: bracket and the finite-difference Newton steps that polish its result.
+#: bracket; :func:`diagnostics._newton_polish_1d` polishes its result.
 _SEGMENT_SAMPLES = 64
 _XATOL = 1e-13
-_NEWTON_STEPS = 3
 
 
 # --------------------------------------------------------------------------
 # 1-D helpers on parameterized segments
 # --------------------------------------------------------------------------
-
-def _newton_polish_1d(phi, t, lo, hi, f0=None):
-    """Sharpen a 1-D minimizer with finite-difference Newton steps.
-
-    Exact for quadratics (central differences have no truncation error there),
-    which is what makes one-step convergence on pure quadratic saddles land at
-    machine precision.  ``f0``, when given, is ``phi(t)`` as ``phi`` itself
-    computed it.  Returns the polished parameter and ``phi`` there.
-    """
-    if f0 is None:
-        f0 = phi(t)
-    for _ in range(_NEWTON_STEPS):
-        h = 1e-6 * (1.0 + abs(t))
-        fp = phi(t + h)
-        fm = phi(t - h)
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if not np.isfinite(d2) or d2 <= 0.0:
-            break
-        step = -d1 / d2
-        t_new = t + step
-        if not (lo <= t_new <= hi) or not np.isfinite(t_new):
-            break
-        f_new = phi(t_new)
-        if f_new > f0 + 1e-15 * (1.0 + abs(f0)):
-            break
-        t, f0 = t_new, f_new
-        if abs(step) <= 1e-15 * (1.0 + abs(t)):
-            break
-    return t, f0
-
 
 def _refine_bracket_min(phi, ts, vs):
     """Best sample -> bounded Brent on the bracketing neighbors -> polish.
@@ -405,11 +374,19 @@ def make_quadratic_field(diag: Sequence[float]) -> ScalarField:
     return _catalog_field(a.size, ev_many, gr, name=f"quadratic{a.tolist()}")
 
 
+def _problem(name, region, endpoints, ev_many, gradient=None, known_saddle=None,
+             differentiable=True) -> TestProblem:
+    """A catalog problem on the field of the batched formula ``ev_many``."""
+    field = _catalog_field(len(endpoints[0]), ev_many, gradient, name=name,
+                           differentiable=differentiable)
+    return TestProblem(name, field, region, endpoints, known_saddle)
+
+
 def _quadratic_saddle() -> TestProblem:
     f = make_quadratic_field([1.0, -1.0])
     f.name = "quadratic-saddle"
     return TestProblem(
-        name="quadratic-saddle",
+        name=f.name,
         field=f,
         region=Ball((0.0, 0.0), 4.0),
         endpoints=(np.array([0.0, -1.0]), np.array([0.0, 1.0])),
@@ -424,13 +401,8 @@ def _ps_fail_a() -> TestProblem:
     def ev_many(p):
         return np.exp(-p[:, 0]) - p[:, 1] ** 2
 
-    f = _catalog_field(2, ev_many, gr, name="ps-fail-a")
-    return TestProblem(
-        name="ps-fail-a",
-        field=f,
-        region=Box((0.0, -2.0), (10.0, 2.0)),
-        endpoints=(np.array([0.0, -1.5]), np.array([0.0, 1.5])),
-    )
+    return _problem("ps-fail-a", Box((0.0, -2.0), (10.0, 2.0)), ((0.0, -1.5), (0.0, 1.5)),
+                    ev_many, gr)
 
 
 def _ps_fail_b() -> TestProblem:
@@ -441,13 +413,8 @@ def _ps_fail_b() -> TestProblem:
     def ev_many(p):
         return np.exp(-2.0 * p[:, 0]) - p[:, 1] ** 2 * np.exp(-p[:, 0])
 
-    f = _catalog_field(2, ev_many, gr, name="ps-fail-b")
-    return TestProblem(
-        name="ps-fail-b",
-        field=f,
-        region=Box((0.0, -2.0), (10.0, 2.0)),
-        endpoints=(np.array([0.0, -1.5]), np.array([0.0, 1.5])),
-    )
+    return _problem("ps-fail-b", Box((0.0, -2.0), (10.0, 2.0)), ((0.0, -1.5), (0.0, 1.5)),
+                    ev_many, gr)
 
 
 def _plateau() -> TestProblem:
@@ -457,13 +424,8 @@ def _plateau() -> TestProblem:
         t = p[:, 0]
         return np.where(t <= -1.0, t, np.where(t >= 1.0, -t, -1.0))
 
-    f = _catalog_field(1, ev_many, name="plateau", differentiable=False)
-    return TestProblem(
-        name="plateau",
-        field=f,
-        region=Box((-4.0,), (4.0,)),
-        endpoints=(np.array([-2.0]), np.array([2.0])),
-    )
+    return _problem("plateau", Box((-4.0,), (4.0,)), ((-2.0,), (2.0,)), ev_many,
+                    differentiable=False)
 
 
 def _double_well_curve() -> TestProblem:
@@ -475,16 +437,10 @@ def _double_well_curve() -> TestProblem:
     def ev_many(p):
         return (p[:, 1] - p[:, 0] ** 2) * (p[:, 0] - p[:, 1] ** 2)
 
-    f = _catalog_field(2, ev_many, gr, name="double-well-curve")
-    return TestProblem(
-        name="double-well-curve",
-        field=f,
-        region=Box((-1.5, -1.5), (1.5, 1.5)),
-        # Points inside the two negative "wings"; the wings touch at (0,0) and
-        # (1,1), both critical with value 0.
-        endpoints=(np.array([0.2, 0.75]), np.array([0.75, 0.2])),
-        known_saddle=(np.array([1.0, 1.0]), 0.0),
-    )
+    # The endpoints lie inside the two negative "wings"; the wings touch at
+    # (0,0) and (1,1), both critical with value 0.
+    return _problem("double-well-curve", Box((-1.5, -1.5), (1.5, 1.5)),
+                    ((0.2, 0.75), (0.75, 0.2)), ev_many, gr, known_saddle=((1.0, 1.0), 0.0))
 
 
 def _sqrt_cusp() -> TestProblem:
@@ -492,14 +448,8 @@ def _sqrt_cusp() -> TestProblem:
     def ev_many(p):
         return -np.sqrt(np.abs(p[:, 0]))
 
-    f = _catalog_field(1, ev_many, name="sqrt-cusp", differentiable=False)
-    return TestProblem(
-        name="sqrt-cusp",
-        field=f,
-        region=Box((-2.0,), (2.0,)),
-        endpoints=(np.array([-1.0]), np.array([1.0])),
-        known_saddle=(np.array([0.0]), 0.0),
-    )
+    return _problem("sqrt-cusp", Box((-2.0,), (2.0,)), ((-1.0,), (1.0,)), ev_many,
+                    known_saddle=((0.0,), 0.0), differentiable=False)
 
 
 _BUILDERS = (

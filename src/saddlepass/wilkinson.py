@@ -39,6 +39,7 @@ from .errors import (
     BoundaryHitError,
     DegenerateSpectrumError,
     PreconditionError,
+    require_count,
 )
 from .fields import Ball, Box
 from .linalg import (
@@ -625,7 +626,7 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     scan: list[dict] = []
     converged: list[WilkinsonResult] = []
     for li, lj in pairs:
-        if (li, lj) in (pair, pair[::-1]):
+        if (li, lj) == pair:
             entry = heuristic
         else:
             if open_cells is not None:
@@ -680,6 +681,8 @@ def pseudospectrum_grid(a, bbox, nx: int, ny: int) -> PseudospectrumGrid:
     """Sample sigma_min(A - z I) on an nx-by-ny grid over bbox = (x0, y0, x1, y1),
     or over the prepared matrix's region (the spectrum box) when bbox is None."""
     pm = prepare(a)
+    require_count("nx", nx)
+    require_count("ny", ny)
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
     if bbox is None:

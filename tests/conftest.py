@@ -5,38 +5,11 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# Appended, not prepended, so bench/'s run.py and checks.py shadow nothing.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
-
-def bidiagonal_5x5():
-    """The 5x5 upper-bidiagonal test matrix with known coalescence value."""
-    a = np.zeros((5, 5), dtype=complex)
-    diag = [0.461 + 0.650j, 0.457 + 0.983j, 0.451 + 0.553j, 0.412 + 0.400j, 0.902 + 0.199j]
-    sup = [0.006 + 0.625j, 0.297 + 0.733j, 0.049 + 0.376j, 0.693 + 0.010j]
-    for i in range(5):
-        a[i, i] = diag[i]
-    for i in range(4):
-        a[i, i + 1] = sup[i]
-    return a
-
-
-#: Reference coalescence value for the 5x5 bidiagonal matrix.
-BIDIAG_5X5_EPS = 6.151109286142e-4
-
-
-def bidiagonal_10x10():
-    """The 10x10 bidiagonal matrix on which the Voronoi edge guess fails."""
-    a = np.zeros((10, 10), dtype=complex)
-    sup = [0.5330 + 0.5330j, 0.9370 + 0.1190j, 0.7410 + 0.8340j, 0.7480 + 0.8870j,
-           0.6880 + 0.6700j, 0.2510 + 0.7430j, 0.9540 + 0.6590j, 0.2680 + 0.6610j,
-           0.2670 + 0.4340j]
-    dia = [0.9850 + 0.7550j, 0.8030 + 0.7810j, 0.2590 + 0.5110j, 0.3840 + 0.5310j,
-           0.0080 + 0.5360j, 0.9780 + 0.2720j, 0.7190 + 0.3100j, 0.5560 + 0.8370j,
-           0.6350 + 0.7630j, 0.5110 + 0.8870j]
-    for i in range(9):
-        a[i, i + 1] = sup[i]
-    for i in range(10):
-        a[i, i] = dia[i]
-    return a
+# The paper's 5x5 and 10x10 bidiagonal matrices and the 5x5 coalescence value.
+from workloads import BIDIAG_5X5_EPS, bidiagonal_5x5, bidiagonal_10x10  # noqa: E402,F401
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +46,8 @@ def test_same_component_validates_inputs():
     q = ComponentQuery(QS.field, BOX, -0.25, 1e-2)
     with pytest.raises(PreconditionError):
         same_component(q, [0.0, 0.0], [0.0, 1.0])  # f(a)=0 > level
+    with pytest.raises(PreconditionError, match="^b lies outside the region$"):
+        same_component(q, [0.0, -1.0], [0.0, 2.0])  # f(b)=-4 <= level, outside BOX
     f3 = ScalarField(3, lambda x: float(x @ x), name="3d")
     with pytest.raises(UnsupportedDimensionError):
         same_component(ComponentQuery(f3, Box((-1,) * 3, (1,) * 3), 1.0, 0.1), [0] * 3, [0] * 3)
@@ -214,6 +217,14 @@ def test_bisect_embedded_cusp_pair_approaches_axis():
 def test_bisect_rejects_inverted_bounds_and_wrong_dimension():
     with pytest.raises(ValueError):
         bisect(QS, init_lower=1.0, init_upper=-1.0)
+    # A non-finite bound is a bad argument, not a grid resolution limit (NaN,
+    # -inf) or a run that ends unconverged at upper = inf.
+    for bounds, name in [({"init_lower": float("nan")}, "init_lower"),
+                         ({"init_upper": float("nan")}, "init_upper"),
+                         ({"init_lower": -float("inf"), "init_upper": 1.0}, "init_lower"),
+                         ({"init_upper": float("inf")}, "init_upper")]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            bisect(QS, **bounds)
     with pytest.raises(UnsupportedDimensionError):
         bisect(get_problem("sqrt-cusp"))
 
@@ -232,6 +243,8 @@ def test_assemble_path_one_advancing_iteration():
     assert len(state.pairs) == 2  # mid = -0.5 separates, pair advances
     verts, _ = assemble_path(QS, state)
     assert verts.shape == (4, 2)
+    with pytest.raises(ValueError, match="^state has an empty pair history$"):
+        assemble_path(QS, dataclasses.replace(state, pairs=[]))
 
 
 def test_assemble_path_endpoints_and_certificate():
@@ -266,7 +279,7 @@ def test_bisect_resolution_limit_carries_state():
     assert info.value.state.lower == 0.0
 
 
-@pytest.mark.parametrize("resolution", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("resolution", [-1.0, 0.0, float("nan"), float("inf"), True])
 def test_bad_resolution_is_rejected_up_front(resolution):
     # Rejected when the options are built, not inside the bisection loop
     # after the initial segment maximization.
@@ -274,6 +287,14 @@ def test_bad_resolution_is_rejected_up_front(resolution):
         BisectionOptions(resolution=resolution)
     with pytest.raises(ValueError, match="resolution"):
         ComponentQuery(QS.field, BOX, 0.0, resolution)
+
+
+@pytest.mark.parametrize("options, name", [(BisectionOptions, "value_tol"),
+                                           (LocalOptions, "point_tol")])
+def test_a_bool_tolerance_is_rejected(options, name):
+    # True would pass the positivity test and silently become 1.0.
+    with pytest.raises(ValueError, match=f"^{name} must be a finite positive number, got True$"):
+        options(**{name: True})
 
 
 @pytest.mark.parametrize("options", [BisectionOptions, LocalOptions])

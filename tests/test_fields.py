@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from saddlepass import Ball, Box, ScalarField, builtin_problems, get_problem, make_quadratic_field
+from saddlepass import (Ball, Box, ScalarField, TestProblem, builtin_problems, get_problem,
+                        make_quadratic_field)
 from saddlepass.diagnostics import fd_gradient
 
 
@@ -46,6 +47,9 @@ def test_catalog_endpoints_inside_region_and_known_saddles():
             pt, _ = p.known_saddle
             g = p.field.grad(pt) if p.field.has_gradient else fd_gradient(p.field, pt)
             assert np.linalg.norm(g) <= 1e-8
+    qs = get_problem("quadratic-saddle")
+    with pytest.raises(ValueError, match="^moved: endpoints must lie in the region$"):
+        TestProblem("moved", qs.field, qs.region, ((0.0, -1.0), (0.0, 5.0)))
 
 
 def test_gradients_match_finite_differences():
@@ -147,6 +151,8 @@ def test_region_validation():
         Ball((0, 0), 0.0)
     with pytest.raises(ValueError):
         Box((0, 0), (0, 1))
+    with pytest.raises(ValueError, match="^lower and upper must have the same shape$"):
+        Box((0, 0), (1, 1, 1))
 
 
 def test_box_line_interval():

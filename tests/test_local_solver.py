@@ -101,6 +101,21 @@ def test_bisector_minimize_rejects_identical_points():
         bisector_minimize(QS.field, QS.region, [0.0, 1.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: minimize_on_hyperplane(QS.field, QS.region, np.zeros(2), np.zeros(2)),
+     ValueError, "normal must be nonzero"),
+    # The chord through (1, 0) normal to (1, 0) is tangent to the unit ball.
+    (lambda: minimize_on_hyperplane(QS.field, Ball((0, 0), 1), np.array([1.0, 0.0]),
+                                    np.array([1.0, 0.0])),
+     PreconditionError, "hyperplane does not meet the region"),
+    (lambda: segment_max(QS.field, [0.0, 1.0], [0.0, 1.0]),
+     ValueError, "segment endpoints must differ"),
+], ids=["zero-normal", "tangent-chord", "segment-max-equal-endpoints"])
+def test_segment_and_hyperplane_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 # ----------------------------------------------------------------- advance
 
 def test_advance_monotone_segment_returns_to_exactly():

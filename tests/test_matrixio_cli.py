@@ -61,6 +61,20 @@ def test_malformed_matrix_files(tmp_path, text):
         matrixio.read_matrix(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0\n", "matrix size must be positive, got 0"),
+    ("1\n1 x\n", "row 1: bad float token in '1 x'"),
+    ('{"n": 1,', "bad JSON matrix file: "),
+    ('{"n": 2, "re": [[1, 0]], "im": [[0, 0]]}',
+     r"JSON matrix parts must be 2x2, got \(1, 2\) and \(1, 2\)"),
+], ids=["size-zero", "bad-float-pair", "bad-json", "json-shape"])
+def test_malformed_matrix_file_messages(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        matrixio.read_matrix(path)
+
+
 def test_format_float_roundtrip():
     for v in (0.1, 1 / 3, 6.151109286142e-4, -2.0**-40):
         assert float(matrixio.format_float(v)) == v

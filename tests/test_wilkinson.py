@@ -337,6 +337,8 @@ def test_wilkinson_local_normal_two_point():
 def test_wilkinson_local_rejects_non_eigenvalues():
     with pytest.raises(ValueError):
         wilkinson_local(np.diag([0.0, 2.0]).astype(complex), 0.5, 2.0)
+    with pytest.raises(ValueError, match="^eigenvalue pair must be distinct$"):
+        wilkinson_local(np.diag([0.0, 2.0]).astype(complex), 2.0, 2.0)
 
 
 def test_wilkinson_local_estimate_above_grid_lower_bound():
@@ -809,6 +811,8 @@ def test_pseudospectrum_grid_validation():
         pseudospectrum_grid([[0.0]], (-1.0, -1.0, 1.0, 1.0), 1, 3)
     with pytest.raises(ValueError):
         pseudospectrum_grid([[0.0]], (1.0, -1.0, -1.0, 1.0), 3, 3)
+    with pytest.raises(ValueError, match="^nx must be an integer, got 2.5$"):
+        pseudospectrum_grid([[0.0]], None, 2.5, 3)
 
 
 def test_pseudospectrum_grid_min_bounds_estimate(ex_bidiag5):
