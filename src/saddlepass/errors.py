@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 
@@ -12,6 +13,12 @@ def require_finite_positive(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is finite, positive and not a bool."""
     if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless the real or complex ``value`` is finite."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def require_count(name: str, value) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_finite, require_finite_positive
 from .fields import ScalarField
 
 #: Acceptance threshold for "purely imaginary" block-matrix eigenvalues,
@@ -64,9 +65,9 @@ def byers_vertical_crossings(a, x: float, epsilon: float) -> np.ndarray:
     sorted ascending; near-coincident crossings are merged.  May be empty.
     """
     m = as_complex_matrix(a)
+    require_finite("x", x)
+    require_finite_positive("epsilon", epsilon)
     eps = float(epsilon)
-    if not eps > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     n = m.shape[0]
     eye = np.eye(n)
     block = np.block(
@@ -116,6 +117,8 @@ def rotate_to_vertical(a, p: complex, q: complex) -> SegmentFrame:
     m = as_complex_matrix(a)
     p = complex(p)
     q = complex(q)
+    require_finite("p", p)
+    require_finite("q", q)
     if p == q:
         raise ValueError("segment endpoints must be distinct")
     length = abs(q - p)

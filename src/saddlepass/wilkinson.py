@@ -19,10 +19,12 @@ fail, so the default mode falls back to the other edges' pairs and an
 exhaustive mode reruns the local solver over eigenvalue pairs, skipping a
 pair when a Voronoi cell it has to leave stays above the heuristic pair's level.
 Only the smallest edge minimum matters, so the edges are searched by branch
-and bound.  sigma_min(A - z I) is 1-Lipschitz in z (Weyl's inequality), so a
-few samples bound an edge from below; an edge whose bound clears the best
-level so far, or whose single crossing test finds no sub-level piece, is
-skipped without minimizing over it.  Ties go to the first edge in scan order.
+and bound.  sigma_min(A - z I) is 1-Lipschitz in z (Weyl's inequality), so
+between two samples a and b that are l apart it is at least the tent bound
+(a + b - l) / 2.  An edge is skipped without minimizing over it when the tent
+bounds of its samples clear the best level so far, after at most
+``_SUBDIVIDE_MAX`` further SVD samples, or else when its single crossing test
+finds no sub-level piece.  Ties go to the first edge in scan order.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .errors import (
     DegenerateSpectrumError,
     PreconditionError,
     require_count,
+    require_finite,
 )
 from .fields import Ball, Box
 from .linalg import (
@@ -60,9 +63,21 @@ _LEVEL_INFLATION = 2e-8
 
 _MAX_SWEEPS = 60
 
-#: Equally spaced samples per Voronoi edge, endpoints included, that order the
-#: edges and give each one a Lipschitz lower bound.
+#: Equally spaced samples per Voronoi edge, endpoints included.  Their minima
+#: order ``PreparedMatrix.voronoi``, and so the default mode's fallback pairs,
+#: and their values seed each edge's Lipschitz bounds in :func:`_dips_below`.
 _EDGE_SAMPLES = 8
+_EDGE_T = np.linspace(0.0, 1.0, _EDGE_SAMPLES)  # their positions, from start to end
+
+#: Most SVD samples :func:`_dips_below` adds to a segment before it runs a
+#: Byers crossing test instead; one such test costs 22 (n = 5) to 36 (n = 28)
+#: batched SVD samples.
+_SUBDIVIDE_MAX = 16
+
+#: The slack of :func:`_dips_below`'s bounds is this times
+#: ``norm + max(|start|, |end|)``: 64 unit roundoffs, for the backward error
+#: of each SVD sample and the rounding of its position.
+_SAMPLE_SLACK = 64 * np.finfo(float).eps / 2
 
 #: Fraction of the inter-eigenvalue distance by which the endpoints are pulled
 #: inside; exact eigenvalues give sigma = 0 where level components degenerate
@@ -196,11 +211,13 @@ class PreparedMatrix(SigmaMinField):
         self.region = _spectrum_box(self.eigs, self.norm)
 
     @cached_property
-    def voronoi(self) -> list[tuple[float, int, VoronoiEdge]]:
-        """``(_sample_min, clip-order index, edge)`` of every :func:`voronoi_edges`
-        edge, sorted ascending: equal sample minima stay in clip order."""
+    def voronoi(self) -> list[tuple[float, int, VoronoiEdge, np.ndarray]]:
+        """``(sample minimum, clip-order index, edge, samples)`` of every
+        :func:`voronoi_edges` edge, with its :func:`_edge_samples`, sorted by
+        sample minimum: equal minima stay in clip order."""
         edges = voronoi_edges(self.eigs, self.region)
-        return sorted((_sample_min(self.matrix, e.start, e.end), k, e) for k, e in enumerate(edges))
+        sampled = ((_edge_samples(self.matrix, e.start, e.end), k, e) for k, e in enumerate(edges))
+        return sorted((float(s.min()), k, e, s) for s, k, e in sampled)
 
     def minimize(self, p, q):
         z, v = segment_minimize_sigma(self.matrix, _p2c(p), _p2c(q))
@@ -317,6 +334,8 @@ def voronoi_edges(spectrum, bbox: Box) -> list[VoronoiEdge]:
     those rows leave.  Exact duplicate points count once.
     """
     pts = np.array(list(dict.fromkeys(np.asarray(spectrum, dtype=complex).reshape(-1).tolist())))
+    if not np.isfinite(pts).all():
+        raise ValueError("spectrum must be finite")
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct spectrum points")
     i, j = np.triu_indices(len(pts), 1)
@@ -357,26 +376,56 @@ def _clip_pairs(pts: np.ndarray, i: np.ndarray, j: np.ndarray, bbox: Box) -> lis
     ]
 
 
-def _sample_min(a, start: complex, end: complex) -> float:
-    """Smallest sigma at ``_EDGE_SAMPLES`` equally spaced points of [start, end]."""
-    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
-    return float(_sigma_batch(a, start + t * (end - start)).min())
+def _edge_samples(a, start: complex, end: complex) -> np.ndarray:
+    """sigma at ``_EDGE_SAMPLES`` equally spaced points of [start, end], ends included."""
+    return _sigma_batch(a, start + _EDGE_T * (end - start))
 
 
-def _dips_below(a, start: complex, end: complex, level: float, sample_min: float) -> bool:
+def _dips_below(pm: PreparedMatrix, start: complex, end: complex, level: float,
+                samples: np.ndarray) -> bool:
     """Can sigma drop below ``level`` on [start, end]?  At most one crossing test.
 
-    ``sample_min`` is :func:`_sample_min` of the segment.  A sample below the
-    level, or a level Byers cannot test (not positive), answers yes; the
-    Lipschitz bound ``sample_min - h/2`` at or above the level answers no.
-    Otherwise the level's Byers crossings cut the segment into pieces on
-    which sigma stays on one side of the level, and a midpoint decides.
+    ``samples`` are the segment's :func:`_edge_samples`.  A sample below the
+    level, or a level Byers cannot test (not positive), answers yes.  sigma
+    is 1-Lipschitz, so on an interval of length l between samples a and b it
+    is at least the tent bound ``(a + b - l) / 2``, and a bound at or above
+    the level plus a slack for the samples' rounding (``_SAMPLE_SLACK``)
+    clears the interval.  Past the coarser bound ``min(samples) - h/2``, each
+    round samples the midpoints of the uncleared intervals in one batch,
+    until a sample is below the level (yes) or every interval clears (no).
+    An interval whose smaller end value is g above the level needs at least
+    ``ceil(l / 2g) - 1`` more samples, and at least its midpoint; once those
+    and the samples spent would pass ``_SUBDIVIDE_MAX``, the level's Byers
+    crossings cut the segment into pieces on which sigma stays on one side
+    of the level, and a midpoint decides each piece.
     """
+    sample_min = samples.min()
     if level <= 0.0 or sample_min < level:
         return True
-    if sample_min - 0.5 * abs(end - start) / (_EDGE_SAMPLES - 1) >= level:
+    cleared = level + _SAMPLE_SLACK * (pm.norm + max(abs(start), abs(end)))
+    length = abs(end - start)
+    if sample_min - 0.5 * length / (_EDGE_SAMPLES - 1) >= cleared:
         return False
-    frame = rotate_to_vertical(a, start, end)
+    lo, hi, va, vb = _EDGE_T[:-1], _EDGE_T[1:], samples[:-1], samples[1:]
+    spent = 0
+    while True:
+        l = (hi - lo) * length
+        open_ = va + vb - l < 2.0 * cleared
+        if not open_.any():
+            return False
+        lo, hi, va, vb, l = lo[open_], hi[open_], va[open_], vb[open_], l[open_]
+        with np.errstate(divide="ignore"):
+            need = np.maximum(np.ceil(l / (2.0 * (np.minimum(va, vb) - level))) - 1.0, 1.0)
+        if spent + need.sum() > _SUBDIVIDE_MAX:
+            break
+        spent += len(lo)
+        mid = 0.5 * (lo + hi)
+        v = _sigma_batch(pm.matrix, start + mid * (end - start))
+        if (v < level).any():
+            return True
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        va, vb = np.concatenate((va, v)), np.concatenate((v, vb))
+    frame = rotate_to_vertical(pm.matrix, start, end)
     return any(_sigma_on_frame(frame, 0.5 * (lo + hi)) < level
                for lo, hi in _level_intervals(frame, level, frame.length))
 
@@ -387,13 +436,15 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     Returns the generating pair of the globally minimizing edge, the argmin as
     a seed point, and the minimal sigma value found on the diagram.
 
-    Each edge is sampled at ``_EDGE_SAMPLES`` equally spaced points h apart;
-    since sigma is 1-Lipschitz, ``min(samples) - h/2`` bounds sigma on the
-    whole edge from below.  Edges are visited by ascending sample minimum and
-    the first is minimized outright.  A later edge is tested at the level
-    ``best * (1 + _LEVEL_INFLATION)``: it is skipped when its bound reaches
-    the level, or when no piece between its Byers crossings of the level has
-    a midpoint below it; otherwise it is minimized too.  The smallest value
+    Each edge is sampled at ``_EDGE_SAMPLES`` equally spaced points.  Edges
+    are visited by ascending sample minimum and the first is minimized
+    outright.  A later edge is tested at the level
+    ``best * (1 + _LEVEL_INFLATION)`` by :func:`_dips_below`: it is skipped
+    when the tent bounds of its samples, with at most ``_SUBDIVIDE_MAX``
+    more taken at interval midpoints, clear the level, or when no piece
+    between its Byers crossings of the level has a midpoint below it;
+    otherwise it is minimized too.  The bounds allow for the samples'
+    rounding, so a skipped edge never holds the winner.  The smallest value
     wins, and an exact tie goes to the edge that comes first in
     :func:`voronoi_edges` order, so the result is that of minimizing over
     every edge in turn.  Mirror-image edges of a real matrix need not tie:
@@ -409,9 +460,9 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     if not pm.voronoi:
         raise RuntimeError("no Voronoi edges inside the bounding box")
     best = None  # (v, edge index, z, edge)
-    for sample_min, k, e in pm.voronoi:
+    for _, k, e, samples in pm.voronoi:
         if best is not None and not _dips_below(
-            pm.matrix, e.start, e.end, best[0] * (1.0 + _LEVEL_INFLATION), sample_min
+            pm, e.start, e.end, best[0] * (1.0 + _LEVEL_INFLATION), samples
         ):
             continue
         z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
@@ -434,15 +485,13 @@ def _open_cells(pm: PreparedMatrix, level: float) -> Optional[np.ndarray]:
     (x0, y0), (x1, y1) = pm.region.lower, pm.region.upper
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     for p, q in zip(corners, corners[1:] + corners[:1]):
-        if _dips_below(pm.matrix, p, q, level, _sample_min(pm.matrix, p, q)):
+        if _dips_below(pm, p, q, level, _edge_samples(pm.matrix, p, q)):
             return None
     index = {lam: k for k, lam in enumerate(pm.eigs.tolist())}
     is_open = np.zeros(len(pm.eigs), dtype=bool)
-    for sample_min, _, e in pm.voronoi:
+    for _, _, e, samples in pm.voronoi:
         i, j = index[e.pair[0]], index[e.pair[1]]
-        if not (is_open[i] and is_open[j]) and _dips_below(
-            pm.matrix, e.start, e.end, level, sample_min
-        ):
+        if not (is_open[i] and is_open[j]) and _dips_below(pm, e.start, e.end, level, samples):
             is_open[i] = is_open[j] = True
     return is_open
 
@@ -525,6 +574,8 @@ def wilkinson_local(
     opts = opts or WilkinsonOptions()
     lam1 = complex(lam1)
     lam2 = complex(lam2)
+    require_finite("lam1", lam1)
+    require_finite("lam2", lam2)
     if lam1 == lam2:
         raise ValueError("eigenvalue pair must be distinct")
     for lam in (lam1, lam2):
@@ -603,7 +654,7 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
             perturbation=np.zeros_like(pm.matrix),
         )
 
-    pairs = [pair] + [e.pair for _, _, e in pm.voronoi if e.pair != pair]
+    pairs = [pair] + [e.pair for _, _, e, _ in pm.voronoi if e.pair != pair]
     scan_opts = opts
     if opts.exhaustive:
         eigs = pm.eigs

@@ -66,6 +66,24 @@ def test_byers_crossings_scalar_cases():
         byers_vertical_crossings([[0.0]], 0.0, -1.0)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda a: byers_vertical_crossings(a, 0.0, _INF), "epsilon"),
+    (lambda a: byers_vertical_crossings(a, _NAN, 0.5), "x"),
+    (lambda a: byers_vertical_crossings(a, _INF, 0.5), "x"),
+    (lambda a: rotate_to_vertical(a, _NAN, 1.0), "p"),
+    (lambda a: rotate_to_vertical(a, 0.0, complex(0.0, _INF)), "q"),
+], ids=["byers-eps-inf", "byers-x-nan", "byers-x-inf", "rotate-p-nan", "rotate-q-inf"])
+def test_non_finite_arguments_are_named_bad_arguments(call, name):
+    # Passed on, they made LAPACK raise LinAlgError, which callers count as a
+    # numerical failure, or gave a frame of NaNs.
+    with pytest.raises(ValueError, match=f"^{name} must be ") as err:
+        call(np.diag([0.0, 2.0]))
+    assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
 def test_byers_crossings_match_dense_scan():
     rng = np.random.default_rng(11)
     for _ in range(5):

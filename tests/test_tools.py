@@ -1,9 +1,12 @@
 """The output gate's recorder, ``tools/result_fingerprints.py``: the inputs of
 each run, and one recorded Wilkinson result."""
 
+import dataclasses
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "result_fingerprints.py"
@@ -42,3 +45,25 @@ def test_a_converged_wilkinson_record_has_its_gap(tool, tmp_path):
     summary = tool.summarize([entry, {"raised": "BoundaryHitError: boundary"}])
     assert summary == {"inputs": 2, "converged": 1, "unconverged": 0, "raised": 1, "wrong": 0,
                        "failed": 1, "max_gap": entry["gap"]}
+
+
+def test_lapack_counts_cover_only_the_solve(tool, tmp_path):
+    (case,) = tool.RUNS["diag"](tmp_path)
+    stack = np.ones((3, 2, 2))
+
+    def solve():
+        np.linalg.svd(stack, compute_uv=False)
+        np.linalg.eigvals(stack[0])
+        return case.solve()
+
+    def check(out):
+        np.linalg.svd(stack, compute_uv=False)
+        np.linalg.eigvals(stack[0])
+        return case.check(out)
+
+    plain, extra = Counter(), Counter()
+    entry = tool.record(case, plain)
+    assert tool.record(dataclasses.replace(case, solve=solve, check=check), extra) == entry
+    assert plain["eigvals"] > 0 and plain["svd"] > 0 and plain["svd mats"] >= plain["svd"]
+    assert extra - plain == Counter({"eigvals": 1, "svd": 1, "svd mats": 3})
+    assert "counted" not in np.linalg.svd.__name__  # restored after the solve

@@ -58,6 +58,23 @@ def test_segment_minimize_rejects_degenerate_segment():
         segment_minimize_sigma([[0.0]], 1.0, 1.0)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda a: segment_minimize_sigma(a, _NAN, 1.0), "p"),
+    (lambda a: segment_minimize_sigma(a, 0.0, _INF), "q"),
+    (lambda a: wilkinson_local(a, _NAN, 2.0), "lam1"),
+    (lambda a: voronoi_edges([0.0, 1.0, _NAN], Box((-2.0, -2.0), (2.0, 2.0))), "spectrum"),
+], ids=["segment-p-nan", "segment-q-inf", "local-lam1-nan", "voronoi-spectrum-nan"])
+def test_non_finite_points_are_named_bad_arguments(call, name):
+    # LAPACK's "SVD did not converge" is a numerical failure, and a NaN in the
+    # spectrum silently dropped edges.
+    with pytest.raises(ValueError, match=f"^{name} must be finite") as err:
+        call(np.diag([0.0, 2.0]))
+    assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
 def test_segment_minimize_matches_dense_golden_oracle():
     rng = np.random.default_rng(30)
     field_cache = {}
@@ -265,8 +282,8 @@ def test_voronoi_heuristic_pair_unchanged_by_the_reference_clipper(make, monkeyp
 
 def test_voronoi_heuristic_prunes_most_byers_eigensolves(monkeypatch):
     # Minimizing on every edge costs about 3.6 crossing tests per edge; the
-    # lower bounds and single crossing tests leave fewer than one per two
-    # edges (0.33 to 0.55 per edge on single n = 20 matrices, seeds 0-11).
+    # tent bounds on up to _SUBDIVIDE_MAX extra samples and the single
+    # crossing tests leave fewer than one per five edges (24 on these 191).
     calls = Counter()
     crossings = wk.byers_vertical_crossings
 
@@ -280,7 +297,70 @@ def test_voronoi_heuristic_prunes_most_byers_eigensolves(monkeypatch):
         pm = wk.prepare(_random_matrix("scaled", 20, seed))
         voronoi_heuristic(pm)
         edges += len(voronoi_edges(pm.eigs, pm.region))
-    assert 0 < calls["byers"] < edges / 2
+    assert 0 < calls["byers"] < edges / 5
+
+
+def _dips_below_byers(pm, start, end, level, samples):
+    """The crossing test alone: a sample below the level, or the bound
+    min(samples) - h/2, else the pieces between the level's Byers crossings."""
+    sample_min = samples.min()
+    if level <= 0.0 or sample_min < level:
+        return True
+    if sample_min - 0.5 * abs(end - start) / (wk._EDGE_SAMPLES - 1) >= level:
+        return False
+    frame = wk.rotate_to_vertical(pm.matrix, start, end)
+    return any(wk._sigma_on_frame(frame, 0.5 * (lo + hi)) < level
+               for lo, hi in wk._level_intervals(frame, level, frame.length))
+
+
+@pytest.mark.parametrize("n", [5, 12, 20])
+def test_dips_below_answers_as_the_crossing_test_alone(monkeypatch, n):
+    # Levels at and below an edge's smallest sample go past the sample test;
+    # the lower ones are settled by subdivision, with fewer crossing tests.
+    calls = Counter()
+    crossings = wk.byers_vertical_crossings
+
+    def counted(*args):
+        calls[dips] += 1
+        return crossings(*args)
+
+    monkeypatch.setattr(wk, "byers_vertical_crossings", counted)
+    pm = wk.prepare(_random_matrix("scaled", n, 0))
+    answers = {}
+    for dips in (wk._dips_below, _dips_below_byers):
+        answers[dips] = [dips(pm, e.start, e.end, sample_min * (1.0 + d), samples)
+                         for sample_min, _, e, samples in pm.voronoi
+                         for d in (-0.5, -0.1, -1e-2, -1e-3, 0.0, 1e-6, 1e-3, 1e-2, 0.1, 0.5)]
+    assert answers[wk._dips_below] == answers[_dips_below_byers]
+    assert any(answers[wk._dips_below]) and not all(answers[wk._dips_below])
+    assert calls[wk._dips_below] < calls[_dips_below_byers]
+
+
+def test_dips_below_runs_the_crossing_test_once_more_samples_would_pass_the_cap(monkeypatch):
+    pm = wk.prepare(_random_matrix("scaled", 12, 0))
+    # A level just below an edge's smallest sample that its minimum still
+    # dips under: a gap of 1e-6 of the level asks for far more than
+    # _SUBDIVIDE_MAX samples.
+    sample_min, _, e, samples = next(
+        entry for entry in pm.voronoi
+        if segment_minimize_sigma(pm.matrix, entry[2].start, entry[2].end)[1]
+        < entry[0] * (1.0 - 1e-6))
+    level = sample_min * (1.0 - 1e-6)
+    extra, byers = [], []
+    batch, crossings = wk._sigma_batch, wk.byers_vertical_crossings
+
+    def counted_batch(a, zs):
+        extra.extend(zs)
+        return batch(a, zs)
+
+    def counted_crossings(*args):
+        byers.append(args)
+        return crossings(*args)
+
+    monkeypatch.setattr(wk, "_sigma_batch", counted_batch)
+    monkeypatch.setattr(wk, "byers_vertical_crossings", counted_crossings)
+    assert wk._dips_below(pm, e.start, e.end, level, samples)
+    assert len(extra) <= wk._SUBDIVIDE_MAX and len(byers) == 1
 
 
 def test_exhaustive_scans_solve_no_byers_block_twice(monkeypatch, ex_bidiag5, ex_bidiag10):
@@ -577,7 +657,7 @@ def test_exhaustive_scan_clips_and_samples_the_diagram_once(monkeypatch, ex_bidi
     # The heuristic and the prune share the prepared matrix's Voronoi stage;
     # the prune samples only the four sides of the region on its own.
     edges, sampled = [], []
-    clip, sample_min = wk.voronoi_edges, wk._sample_min
+    clip, sample = wk.voronoi_edges, wk._edge_samples
 
     def counted_clip(*args):
         edges.append(clip(*args))
@@ -585,10 +665,10 @@ def test_exhaustive_scan_clips_and_samples_the_diagram_once(monkeypatch, ex_bidi
 
     def counted_sample(*args):
         sampled.append(args)
-        return sample_min(*args)
+        return sample(*args)
 
     monkeypatch.setattr(wk, "voronoi_edges", counted_clip)
-    monkeypatch.setattr(wk, "_sample_min", counted_sample)
+    monkeypatch.setattr(wk, "_edge_samples", counted_sample)
     res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=True))
     assert _skipped(res)  # the prune ran
     assert len(edges) == 1
@@ -745,8 +825,8 @@ def test_scan_solves_every_pair_when_a_side_of_the_region_dips(monkeypatch, ex_b
     corners = {complex(x, y) for x in (x0, x1) for y in (y0, y1)}
     dips = wk._dips_below
 
-    def side_dips(a, start, end, level, sample_min):
-        return {start, end} <= corners or dips(a, start, end, level, sample_min)
+    def side_dips(pm, start, end, level, samples):
+        return {start, end} <= corners or dips(pm, start, end, level, samples)
 
     monkeypatch.setattr(wk, "_dips_below", side_dips)
     pairs = _counted_local_solves(monkeypatch)

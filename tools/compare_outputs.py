@@ -11,7 +11,7 @@ checkout twice each, once with ``PARENT_SRC`` on ``PYTHONPATH`` and once with
 this checkout's ``src``, and prints each run's own output (the fingerprint
 tool's table of counts per run: voronoi-random at seeds 0-23 and 8675309,
 pair-scan, grid-bisect and the unscaled, real, diag and structured Wilkinson
-inputs), a unified diff of each pair of JSON outputs, and the line count of
+inputs, each with the LAPACK calls its solves made), a unified diff of each pair of JSON outputs, and the line count of
 each side's ``saddlepass/*.py``.  It exits 0 when both pairs are identical
 and 1 otherwise.  OpenBLAS is pinned to one thread in every run.  The four
 runs take about 6 minutes on a 2-core host, most of it the two fingerprint

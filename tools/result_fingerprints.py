@@ -26,21 +26,29 @@ that contradict the result (``wrong``), or else the exception the solve
 raised.  A converged Wilkinson result with eps > 0 also gets its relative
 Malyshev gap ``(malyshev_bound(A, z*) - eps) / eps``.  Per run the JSON counts
 inputs, converged, unconverged, raised, wrong and failed inputs and gives the
-largest gap (at least 0); stdout prints the same rows with wall times.  The
-JSON is sorted and indented, so ``diff parent.json change.json`` lists every
-changed input, and a change that fails more often on any run shows in that
-run's ``failed``.  One run takes about 3 minutes on a 2-core host.
+largest gap (at least 0); stdout prints the same rows with wall times and
+with the numpy ``eigvals`` and ``svd`` calls and stacked SVD matrices that
+the run's solves made (the checks' own calls are not counted).  The counts
+stay out of the JSON, so two sources that give the same results give the
+same JSON however much LAPACK work each does.  The JSON is sorted and
+indented, so ``diff parent.json change.json`` lists every changed input, and
+a change that fails more often on any run shows in that run's ``failed``.
+One run takes about 3 minutes on a 2-core host.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -161,9 +169,34 @@ def _output(out):
     return (out.records, out.pair_scan)
 
 
-def record(case) -> dict:
+@contextlib.contextmanager
+def _counting_lapack(counts: Counter):
+    """Count numpy ``eigvals`` and ``svd`` calls, and the matrices an ``svd``
+    call stacks, into ``counts`` while the block runs."""
+    eigvals, svd = np.linalg.eigvals, np.linalg.svd
+
+    def counted_eigvals(a):
+        counts["eigvals"] += 1
+        return eigvals(a)
+
+    def counted_svd(a, *args, **kwargs):
+        counts["svd"] += 1
+        counts["svd mats"] += math.prod(np.shape(a)[:-2])
+        return svd(a, *args, **kwargs)
+
+    np.linalg.eigvals, np.linalg.svd = counted_eigvals, counted_svd
     try:
-        out = case.solve()
+        yield
+    finally:
+        np.linalg.eigvals, np.linalg.svd = eigvals, svd
+
+
+def record(case, lapack: Optional[Counter] = None) -> dict:
+    """The JSON entry of one case; the LAPACK calls of its solve, and of
+    nothing else, are added to ``lapack`` when one is given."""
+    try:
+        with _counting_lapack(Counter() if lapack is None else lapack):
+            out = case.solve()
     except Exception as err:  # a raising solve is an outcome to record
         return {"raised": f"{type(err).__name__}: {err}"}
     verdict = case.check(out)
@@ -197,20 +230,23 @@ def summarize(entries: list[dict]) -> dict:
 
 
 _COUNTS = ("inputs", "converged", "unconverged", "raised", "wrong", "failed")
+_LAPACK_COUNTS = ("eigvals", "svd", "svd mats")
 
 
 def build_fingerprints() -> dict:
     print(f"{'run':<27}" + "".join(f"{k:>{len(k) + 2}}" for k in _COUNTS)
-          + f"{'max gap':>10}{'time s':>8}")
+          + f"{'max gap':>10}{'time s':>8}" + "".join(f"{k:>10}" for k in _LAPACK_COUNTS))
     runs, inputs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for key, build in RUNS.items():
             start = time.perf_counter()
-            entries = {f"{key}/{case.name}": record(case) for case in build(Path(tmp))}
+            lapack = Counter()
+            entries = {f"{key}/{case.name}": record(case, lapack) for case in build(Path(tmp))}
             inputs.update(entries)
             runs[key] = summary = summarize(list(entries.values()))
             print(f"{key:<27}" + "".join(f"{summary[k]:>{len(k) + 2}}" for k in _COUNTS)
-                  + f"{summary['max_gap']:>10.2g}{time.perf_counter() - start:>8.1f}", flush=True)
+                  + f"{summary['max_gap']:>10.2g}{time.perf_counter() - start:>8.1f}"
+                  + "".join(f"{lapack[k]:>10}" for k in _LAPACK_COUNTS), flush=True)
     return {"runs": runs, "inputs": inputs}
 
 
