@@ -10,8 +10,12 @@ ball about the pair that keeps the other eigenvalues out.
 Two pieces make the 1-D subproblems exact here: a unimodular rotation maps any
 segment onto a vertical one, and the block-matrix level-crossing test turns
 "where does sigma equal eps on this line" into an eigenvalue computation.  A
-level-sweep iteration built on those crossings minimizes (or maximizes) sigma
-over a segment with locally quadratic convergence.
+segment extremum is found by Newton steps on the derivatives of sigma that
+one full SVD gives (sigma' = Im(u_n^H v_n) on the vertical frame), which
+converge quadratically; one crossing test at a level just past it then
+certifies that it is global, or finds the piece of the segment that beats it.
+Where sigma_min is double or zero to roundoff, or has a kink, level sweeps
+alone converge instead.
 
 The eigenvalue pair whose components touch first is guessed by minimizing
 sigma over the edges of the Voronoi diagram of the spectrum; the guess can
@@ -63,6 +67,18 @@ _LEVEL_INFLATION = 2e-8
 
 _MAX_SWEEPS = 60
 
+#: Most steps of one Newton polish of a segment extremum, and the step, as a
+#: fraction of the segment's length, at which it has converged once the gain
+#: the step predicts is also below ``_ULP`` of sigma.
+_POLISH_STEPS = 12
+_POLISH_XTOL = 1e-10
+_ULP = np.finfo(float).eps
+
+#: sigma_min is taken as nonsmooth where it, or its gap to the next singular
+#: value, is at most this times the largest: there its singular vectors, and
+#: so its derivatives, are lost to roundoff.
+_SMOOTH_RTOL = 1e-12
+
 #: Equally spaced samples per Voronoi edge, endpoints included.  Their minima
 #: order ``PreparedMatrix.voronoi``, and so the default mode's fallback pairs,
 #: and their values seed each edge's Lipschitz bounds in :func:`_dips_below`.
@@ -113,10 +129,33 @@ def _p2c(p) -> complex:
     return complex(p[0], p[1])
 
 
-def _sigma_on_frame(frame: SegmentFrame, y: float) -> float:
+def _sigma_on_frame(frame: SegmentFrame, y: float, derivatives: bool = False):
+    """sigma_min(frame.matrix - i y I) from one SVD.
+
+    With ``derivatives`` it is ``(sigma, sigma', sigma'')`` in y, from one
+    full SVD ``U S V^H``.  The matrix moves by -i I per unit of y, so
+    sigma' = Im(u_n^H v_n), and sigma'' is the second-order eigenvalue
+    perturbation sum of the Hermitian dilation [[0, B], [B^H, 0]], whose
+    eigenvalues are +-sigma_j: with c_j = u_j^H v_n and d_j = u_n^H v_j,
+    sigma'' = sum_{j<n} |c_j - conj(d_j)|^2 / 2(sigma_n - sigma_j)
+    + sum_j |c_j + conj(d_j)|^2 / 2(sigma_n + sigma_j).  Where sigma_n, or
+    its gap to sigma_{n-1}, is at most ``_SMOOTH_RTOL * sigma_1``, sigma need
+    not be differentiable and both derivatives are None.
+    """
     n = frame.matrix.shape[0]
     m = frame.matrix - 1j * y * np.eye(n)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+    if not derivatives:
+        return float(np.linalg.svd(m, compute_uv=False)[-1])
+    u, s, vh = np.linalg.svd(m)
+    sigma = float(s[-1])
+    tol = _SMOOTH_RTOL * s[0]
+    if sigma <= tol or (n > 1 and s[-2] - sigma <= tol):
+        return sigma, None, None
+    c = u.conj().T @ vh[-1].conj()
+    d_conj = vh @ u[:, -1]
+    d2 = 0.5 * (np.sum(np.abs(c[:-1] - d_conj[:-1]) ** 2 / (sigma - s[:-1]))
+                + np.sum(np.abs(c + d_conj) ** 2 / (sigma + s)))
+    return sigma, float(c[-1].imag), float(d2)
 
 
 def _level_intervals(frame: SegmentFrame, level: float, end: float) -> list[tuple[float, float]]:
@@ -131,29 +170,82 @@ def _level_intervals(frame: SegmentFrame, level: float, end: float) -> list[tupl
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, float]:
-    """Level-sweep extremization of sigma_min over the segment [p, q].
+def _polish(g, sign: float, lo: float, hi: float, y: float, tol: float) -> tuple[float, float, bool]:
+    """Safeguarded Newton on sigma' = 0 from ``y`` inside [lo, hi].
 
-    Candidates start as the endpoints and midpoint; each sweep sets the level
-    just past the current best, computes all crossings on the (rotated
-    vertical) segment, and evaluates the midpoints of the sub-level (or
-    super-level) intervals.  The midpoint of a chord of a parabola is its
-    vertex, which gives locally quadratic convergence of the best value.
-    A sweep depends only on its level, so the loop ends at the first sweep
-    that does not improve, or once no active interval is longer than 1e-12 of it.
+    ``g(y, True)`` gives sigma, sigma' and sigma''; ``sign`` is 1 for a
+    minimum and -1 for a maximum.  Each step shrinks the bracket to the side
+    sigma' points to, then takes the Newton step if sigma'' has the
+    extremum's sign and the step stays in the bracket, else the bracket's
+    midpoint.  Returns the best point visited, its value, and whether the
+    polish converged: a Newton step of at most ``tol`` whose predicted gain
+    ``sigma'^2 / sigma''`` is below an ulp of sigma, or a bracket shrunk to
+    ``tol`` (an extremum at an end of [lo, hi]).  A point where sigma is not
+    smooth, or ``_POLISH_STEPS`` steps, stop it unconverged.
+    """
+    best_y = best = None
+    for _ in range(_POLISH_STEPS):
+        v, d1, d2 = g(y, True)
+        if best is None or sign * v < sign * best:
+            best_y, best = y, v
+        if d1 is None:
+            return best_y, best, False
+        if sign * d1 > 0.0:
+            hi = y
+        else:
+            lo = y
+        if sign * d2 > 0.0 and lo <= y - d1 / d2 <= hi:
+            step = -d1 / d2
+            if abs(step) <= tol and abs(d1 * step) <= _ULP * abs(v):
+                return best_y, best, True
+        elif hi - lo <= tol:
+            return best_y, best, True
+        else:
+            step = 0.5 * (lo + hi) - y
+        y += step
+    return best_y, best, False
+
+
+def _segment_extremize(a, p: complex, q: complex, mode: str,
+                       samples: Optional[np.ndarray] = None) -> tuple[complex, float]:
+    """Global minimum (or maximum) of sigma_min over the segment [p, q].
+
+    ``samples`` are sigma at the segment's :func:`_edge_samples` positions;
+    without them sigma is sampled at the ends and the midpoint.  The best
+    sample is polished by :func:`_polish` on the rotated vertical frame,
+    within the bracket of its neighbouring samples, and level sweeps then
+    certify it.  Each sweep sets the level just past the best value,
+    ``best * (1 +- _LEVEL_INFLATION)``, cuts the segment at its Byers
+    crossings and evaluates the midpoint of every piece except the one that
+    holds a converged polish; a midpoint on the extremum's side of the level
+    gets its own polish.  A sweep depends only on its level, so the loop ends
+    at the first sweep that does not improve, or once no active piece is
+    longer than 1e-12 of the segment: a smooth extremum takes one crossing
+    test.  Once a polish does not converge (sigma_min double or zero to
+    roundoff, a kink), the sweeps evaluate every piece's midpoint and polish
+    none, and converge by themselves, since the midpoint of a chord of a
+    parabola is its vertex.  A sample's value is kept when nothing beats it,
+    so the result is never above (below, for a maximum) a sample.
     """
     sign = 1.0 if mode == "min" else -1.0
     frame = rotate_to_vertical(a, p, q)
     ell = frame.length
-
     g = cache(partial(_sigma_on_frame, frame))
+    if samples is None:
+        ys = np.array([0.0, 0.5 * ell, ell])
+        samples = np.array([g(y) for y in ys])
+    else:
+        ys = _EDGE_T * ell
+    tol = _POLISH_XTOL * ell
 
-    best_y = 0.0
-    best = g(0.0)
-    for y in (0.5 * ell, ell):
-        v = g(y)
+    k = int(np.argmin(sign * samples))
+    best_y, best = ys[k], float(samples[k])
+    smooth = False
+    if best > 0.0:
+        y, v, smooth = _polish(g, sign, ys[max(k - 1, 0)], ys[min(k + 1, len(ys) - 1)],
+                               best_y, tol)
         if sign * v < sign * best:
-            best, best_y = v, y
+            best_y, best = y, v
 
     for _ in range(_MAX_SWEEPS):
         if best <= 0.0:
@@ -162,14 +254,17 @@ def _segment_extremize(a, p: complex, q: complex, mode: str) -> tuple[complex, f
         improved = False
         max_active = 0.0
         for lo, hi in _level_intervals(frame, eps, ell):
-            if hi - lo <= 1e-15 * ell:
+            if hi - lo <= 1e-15 * ell or (smooth and lo <= best_y <= hi):
                 continue
-            mid = 0.5 * (lo + hi)
-            v = g(mid)
+            y = 0.5 * (lo + hi)
+            v = g(y)
+            converged = False
             if sign * v < sign * eps:
                 max_active = max(max_active, hi - lo)
+                if smooth:
+                    y, v, converged = _polish(g, sign, lo, hi, y, tol)
             if sign * v < sign * best:
-                best, best_y = v, mid
+                best, best_y, smooth = v, y, converged
                 improved = True
         if max_active <= 1e-12 * ell or not improved:
             break
@@ -192,8 +287,8 @@ class PreparedMatrix(SigmaMinField):
 
     It is the sigma_min field of the matrix with exact segment methods: its
     overrides of the four :class:`ScalarField` segment methods run the
-    level-sweep extremization and the block-eigenvalue crossing test on
-    ``matrix``.  ``eigs`` are sorted as :func:`eigenvalues` sorts them,
+    certified segment extremization and the block-eigenvalue crossing test
+    on ``matrix``.  ``eigs`` are sorted as :func:`eigenvalues` sorts them,
     ``norm`` is the spectral norm, ``tol_eig`` the residual up to which a
     point counts as an eigenvalue, and ``region`` the inflated spectrum box
     that bounds the Voronoi diagram and the default psgrid; each local
@@ -465,7 +560,7 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
             pm, e.start, e.end, best[0] * (1.0 + _LEVEL_INFLATION), samples
         ):
             continue
-        z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
+        z, v = _segment_extremize(pm.matrix, e.start, e.end, "min", samples)
         if best is None or (float(v), k) < best[:2]:
             best = (float(v), k, z, e)
     v, _, z, e = best

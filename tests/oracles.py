@@ -101,6 +101,53 @@ def scan_sigma_crossings(a, x, eps, n=10_000, refine=60):
     return np.array(out)
 
 
+def level_sweep_extremize(a, p, q, mode="min", inflation=2e-8, max_sweeps=60):
+    """Minimum (or maximum) of sigma_min(A - z I) on [p, q] by level sweeps alone.
+
+    The segment solver before its Newton polish: candidates are the
+    endpoints and the midpoint; each sweep sets the level just past the best
+    value, cuts the rotated vertical segment at the level's Byers crossings
+    and evaluates every piece's midpoint, until a sweep improves nothing or
+    no active piece is longer than 1e-12 of the segment.
+    """
+    from saddlepass.linalg import byers_vertical_crossings, rotate_to_vertical
+
+    sign = 1.0 if mode == "min" else -1.0
+    frame = rotate_to_vertical(a, p, q)
+    ell = frame.length
+    eye = np.eye(frame.matrix.shape[0])
+
+    def g(y):
+        return float(np.linalg.svd(frame.matrix - 1j * y * eye, compute_uv=False)[-1])
+
+    best_y, best = 0.0, g(0.0)
+    for y in (0.5 * ell, ell):
+        v = g(y)
+        if sign * v < sign * best:
+            best, best_y = v, y
+    for _ in range(max_sweeps):
+        if best <= 0.0:
+            break
+        level = best * (1.0 + sign * inflation)
+        ys = byers_vertical_crossings(frame.matrix, 0.0, level)
+        bounds = np.concatenate(([0.0], ys[(ys > 0.0) & (ys < ell)], [ell]))
+        improved = False
+        max_active = 0.0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo <= 1e-15 * ell:
+                continue
+            mid = 0.5 * (lo + hi)
+            v = g(mid)
+            if sign * v < sign * level:
+                max_active = max(max_active, hi - lo)
+            if sign * v < sign * best:
+                best, best_y = v, mid
+                improved = True
+        if max_active <= 1e-12 * ell or not improved:
+            break
+    return frame.point_at(best_y), best
+
+
 class _RunUnionFind:
     def __init__(self, n):
         self.parent = np.arange(n)

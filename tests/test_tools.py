@@ -67,3 +67,35 @@ def test_lapack_counts_cover_only_the_solve(tool, tmp_path):
     assert plain["eigvals"] > 0 and plain["svd"] > 0 and plain["svd mats"] >= plain["svd"]
     assert extra - plain == Counter({"eigvals": 1, "svd": 1, "svd mats": 3})
     assert "counted" not in np.linalg.svd.__name__  # restored after the solve
+
+
+def test_drift_counts_changed_and_conjugate_inputs_and_the_largest_eps_change(tool):
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL.parent / "compare_outputs.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+
+    def entry(eps, z, pair, records=3, stop="point_tol"):
+        return {"fingerprint": repr(tool._canon((eps, z, True, records))),
+                "pair": repr(tool._canon(pair)), "converged": True, "stop_reason": stop}
+
+    bisection = {"fingerprint": repr((0.5, 0.75, 9, "tol")), "converged": True,
+                 "stop_reason": "tol"}
+    upper = ((0.1 + 1.0j), (2.0 + 1.0j))
+    lower = tuple(z.conjugate() for z in upper)
+    parent = {"runs": {"r": {}, "g": {}}, "inputs": {
+        "r/mirror": entry(1.0, 1.0 + 1.0j, upper),
+        "r/records": entry(2.0, 3.0j, upper),
+        "r/same": entry(4.0, 1.0j, upper),
+        "r/raised": {"raised": "BoundaryHitError: boundary"},
+        "g/bisect": bisection}}
+    change = {"runs": {"r": {}, "g": {}}, "inputs": {
+        "r/mirror": entry(1.0 + 1e-12, 1.0 - 1.0j, lower),
+        "r/records": entry(2.0, 3.0j, upper, records=4),
+        "r/same": entry(4.0 * (1 + 3e-9), 1.0j, upper),
+        "r/raised": entry(5.0, 1.0j, upper),
+        "g/bisect": dict(bisection, fingerprint=repr((0.5, 0.75 * (1 + 1e-10), 9, "tol")))}}
+    d = compare.drift(parent, change)
+    assert d["r"]["changed"] == ["r/mirror", "r/records", "r/raised"]
+    assert d["r"]["mirrored"] == ["r/mirror"]
+    assert d["r"]["max_eps_rel"] == pytest.approx(3e-9)
+    assert d["g"] == {"changed": [], "mirrored": [], "max_eps_rel": pytest.approx(1e-10)}

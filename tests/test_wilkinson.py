@@ -28,7 +28,7 @@ from saddlepass import (
 from saddlepass.errors import BoundaryHitError, DegenerateSpectrumError, PreconditionError
 
 from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5, bidiagonal_10x10
-from oracles import golden_minimize, voronoi_edges_reference
+from oracles import golden_minimize, level_sweep_extremize, voronoi_edges_reference
 
 
 # ------------------------------------------------------ segment minimizers
@@ -110,6 +110,100 @@ def test_segment_minimize_never_above_candidates():
     _, v = segment_minimize_sigma(a, p, q)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert v <= field.sigma_at(p + t * (q - p)) + 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_sigma_derivatives_from_one_svd_match_central_differences(n):
+    rng = np.random.default_rng(40 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    frame = wk.rotate_to_vertical(a, -1.0 - 0.3j, 1.0 + 0.7j)
+    h = 1e-4
+    for y in np.linspace(0.1, 0.9, 5) * frame.length:
+        v, d1, d2 = wk._sigma_on_frame(frame, y, derivatives=True)
+        vp, vm = (wk._sigma_on_frame(frame, y + s) for s in (h, -h))
+        assert v == pytest.approx(wk._sigma_on_frame(frame, y), rel=1e-13)
+        assert d1 == pytest.approx((vp - vm) / (2 * h), rel=1e-7, abs=1e-9)
+        assert d2 == pytest.approx((vp - 2 * v + vm) / h**2, rel=1e-4, abs=1e-6)
+
+
+def test_sigma_derivatives_are_withheld_where_sigma_min_is_double():
+    # On the bisector of diag(0, 2) both singular values are sqrt(1 + y^2).
+    frame = wk.rotate_to_vertical(np.diag([0.0, 2.0]), 1.0 - 1.0j, 1.0 + 1.0j)
+    v, d1, d2 = wk._sigma_on_frame(frame, 0.3, derivatives=True)
+    assert v == pytest.approx(np.hypot(1.0, 0.7), rel=1e-15) and d1 is None and d2 is None
+
+
+def _oracle_segments():
+    """The paper matrices' Voronoi edges, and random segments of random matrices."""
+    for a in (bidiagonal_5x5(), bidiagonal_10x10()):
+        pm = wk.prepare(a)
+        yield from ((pm.matrix, e.start, e.end) for e in voronoi_edges(pm.eigs, pm.region))
+    rng = np.random.default_rng(32)
+    for n in (3, 6, 12, 20):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for _ in range(4):
+            p, q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            yield a, complex(p), complex(q)
+
+
+def test_polished_extrema_match_the_level_sweep_oracle():
+    for a, p, q in _oracle_segments():
+        z, v = segment_minimize_sigma(a, p, q)
+        _, v_ref = level_sweep_extremize(a, p, q, "min")
+        assert abs(v - v_ref) <= 1e-12 * (1.0 + abs(v_ref))
+        assert smallest_singular_value(a - z * np.eye(len(a))) == pytest.approx(v, rel=1e-12)
+        v, _ = wk.segment_maximize_sigma(a, p, q)
+        _, v_ref = level_sweep_extremize(a, p, q, "max")
+        assert abs(v - v_ref) <= 1e-12 * (1.0 + abs(v_ref))
+
+
+@pytest.mark.parametrize("make", [bidiagonal_5x5, bidiagonal_10x10,
+                                  lambda: _random_matrix("scaled", 20, 7)],
+                         ids=["bidiag5", "bidiag10", "scaled20"])
+def test_segment_minimize_certifies_with_at_most_two_crossing_tests(monkeypatch, make):
+    # The polish converges each minimum; the sweep only certifies it, and a
+    # second sweep runs only when the first finds a lower piece elsewhere.
+    per_call, calls = [], Counter()
+    crossings, minimize = wk.byers_vertical_crossings, wk.segment_minimize_sigma
+
+    def counted(*args):
+        calls["byers"] += 1
+        return crossings(*args)
+
+    def recorded(*args):
+        before = calls["byers"]
+        out = minimize(*args)
+        per_call.append(calls["byers"] - before)
+        return out
+
+    monkeypatch.setattr(wk, "byers_vertical_crossings", counted)
+    monkeypatch.setattr(wk, "segment_minimize_sigma", recorded)
+    pm = wk.prepare(make())
+    for e in voronoi_edges(pm.eigs, pm.region):
+        wk.segment_minimize_sigma(pm.matrix, e.start, e.end)
+    wilkinson_distance(pm, WilkinsonOptions(exhaustive=True))
+    assert len(per_call) > len(voronoi_edges(pm.eigs, pm.region))  # the local solves too
+    assert 0 < max(per_call) <= 2
+
+
+def test_segment_maximize_finds_the_kink_maximum():
+    # On the real axis between the eigenvalues of diag(0, 2), sigma_min is
+    # min(|x|, |2 - x|): its maximum 1 at z = 1 is a kink, where sigma' jumps.
+    v, z = wk.segment_maximize_sigma(np.diag([0.0, 2.0]), 0.5, 1.5)
+    assert abs(v - 1.0) <= 1e-12
+    assert abs(z - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 / np.sqrt(78)], ids=["unscaled", "scaled"])
+def test_every_voronoi_edge_minimum_is_at_most_its_samples(scale):
+    # Near sigma = 0 the Byers test misses crossings: on this matrix edge 47
+    # minimized to 1.27e-13 against one of its own samples at 5.34e-14.
+    g = np.random.default_rng(1039)
+    pm = wk.prepare(scale * np.triu(g.standard_normal((39, 39))
+                                    + 1j * g.standard_normal((39, 39))))
+    for sample_min, _, e, samples in pm.voronoi:
+        _, v = wk._segment_extremize(pm.matrix, e.start, e.end, "min", samples)
+        assert v <= sample_min
 
 
 # ----------------------------------------------------------------- voronoi
@@ -239,11 +333,13 @@ def _random_matrix(kind, n, seed):
 
 
 def _scan_every_edge(a):
-    """Reference heuristic: minimize on every Voronoi edge, first edge wins ties."""
+    """Reference heuristic: minimize on every Voronoi edge from its own
+    samples, first edge wins ties."""
     pm = wk.prepare(a)
     best = None
     for e in voronoi_edges(pm.eigs, pm.region):
-        z, v = segment_minimize_sigma(pm.matrix, e.start, e.end)
+        samples = wk._edge_samples(pm.matrix, e.start, e.end)
+        z, v = wk._segment_extremize(pm.matrix, e.start, e.end, "min", samples)
         if best is None or v < best[2]:
             best = (e.pair, z, float(v))
     return best

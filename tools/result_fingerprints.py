@@ -22,9 +22,10 @@ The last four run ``wilkinson_distance`` at default options, checked by
 fingerprint, a sha256 of the full output (the local-iteration records and
 ``pair_scan`` of a Wilkinson result, the history of a bisection), whether it
 converged, its stop reason, the check's failure classes and those among them
-that contradict the result (``wrong``), or else the exception the solve
-raised.  A converged Wilkinson result with eps > 0 also gets its relative
-Malyshev gap ``(malyshev_bound(A, z*) - eps) / eps``.  Per run the JSON counts
+that contradict the result (``wrong``), a Wilkinson result's chosen pair, or
+else the exception the solve raised.  A converged Wilkinson result with
+eps > 0 also gets its relative Malyshev gap
+``(malyshev_bound(A, z*) - eps) / eps``.  Per run the JSON counts
 inputs, converged, unconverged, raised, wrong and failed inputs and gives the
 largest gap (at least 0); stdout prints the same rows with wall times and
 with the numpy ``eigvals`` and ``svd`` calls and stacked SVD matrices that
@@ -208,7 +209,10 @@ def record(case, lapack: Optional[Counter] = None) -> dict:
         "failures": verdict.failures,
         "wrong": verdict.wrong,
     }
-    if not hasattr(out, "history") and out.converged and out.epsilon_bar_estimate > 0.0:
+    if hasattr(out, "history"):
+        return entry
+    entry["pair"] = repr(_canon(out.chosen_pair))
+    if out.converged and out.epsilon_bar_estimate > 0.0:
         eps = out.epsilon_bar_estimate
         entry["gap"] = (checks.malyshev_bound(out.matrix, out.coalescence_point) - eps) / eps
     return entry
