@@ -1,16 +1,16 @@
 """Scalar fields, search regions, and the catalog of analytic test problems.
 
 A :class:`ScalarField` is an evaluatable map from R^n to R that is also its
-own solver for the four 1-D problems on segments the local iteration reduces
-to: minimize, maximize, advance to a level, and first crossing.  The methods
-here sample each segment and refine, the extrema by bounded Brent plus Newton
-polish; a field with an exact 1-D solver (the sigma_min field of a prepared
-matrix) overrides them.  The closest-pair line search instead solves for a zero
-of :meth:`_Line.slope` when the field has a gradient.  Fields are pure value
-objects: the only mutable state is the pair of evaluation counters, which
-never influences computed values and is excluded from equality.  Counter
-updates are plain integer increments; under concurrent use they may undercount,
-which is acceptable because nothing downstream depends on them.
+own solver for the three 1-D problems on segments the local iteration reduces
+to: minimize, maximize, and advance to the first rise through a level.  The
+methods here sample each segment and refine, the extrema by bounded Brent plus
+Newton polish; a field with an exact 1-D solver (the sigma_min field of a
+prepared matrix) overrides them.  The closest-pair line search instead solves
+for a zero of :meth:`_Line.slope` when the field has a gradient.  Fields are
+pure value objects: the only mutable state is the pair of evaluation counters,
+which never influences computed values and is excluded from equality.  Counter
+updates are plain integer increments; under concurrent use they may
+undercount, which is acceptable because nothing downstream depends on them.
 """
 
 from __future__ import annotations
@@ -113,12 +113,12 @@ class ScalarField:
         if finite differences happen to work away from the kinks.  Diagnostics
         use this to mark gradient-based reports as not applicable.
 
-    The segment methods :meth:`minimize`, :meth:`maximize`,
-    :meth:`advance_limit` and :meth:`first_crossing` solve the local
-    iteration's 1-D subproblems by uniform sampling plus bisection/Brent
-    refinement.  Coarse sampling is safe there: near the saddle the field has
-    a single interior extremum or first crossing on the segments the solver
-    builds.  A subclass with an exact 1-D solver overrides all four.
+    The three segment methods :meth:`minimize`, :meth:`maximize` and
+    :meth:`advance_limit` solve the local iteration's 1-D subproblems by
+    uniform sampling plus bisection/Brent refinement.  Coarse sampling is safe
+    there: near the saddle the field has a single interior extremum or first
+    crossing on the segments the solver builds.  A subclass with an exact 1-D
+    solver overrides all three.
     """
 
     def __init__(
@@ -203,18 +203,6 @@ class ScalarField:
         if vs[k] > cap:
             return line.origin.copy()
         return line.at(line.root(cap, ts[k], ts[j]))
-
-    def first_crossing(self, p, q, target) -> Optional[np.ndarray]:
-        """First point from p toward q where the field reaches ``target``
-        (p itself if it already does); None if it never does."""
-        line, ts, vs = self._sample(p, q)
-        if vs[0] >= target:
-            return line.origin.copy()
-        hit = np.nonzero(vs >= target)[0]
-        if hit.size == 0:
-            return None
-        j = int(hit[0])
-        return line.at(line.root(target, ts[j - 1], ts[j]))
 
     def __eq__(self, other):
         # Counters are deliberately excluded from equality.

@@ -10,8 +10,9 @@ method, with step 1a (:func:`refine_closest_pair`) before every iteration.
 Without ``LocalOptions.do_step_1a`` it runs only on a pair the last iteration
 left in place, and the error ratios are 0.09 to 0.55 on a perturbed quadratic.
 
-All 1-D segment work (minimize, maximize, level crossings) goes to the
-field's own segment methods.  :class:`ScalarField` samples and refines; a
+All 1-D segment work goes to the field's three segment methods: minimize,
+maximize, and advance to the first rise through a level, which also
+equalizes the starting pair.  :class:`ScalarField` samples and refines; a
 field with an exact 1-D solver overrides them (the prepared matrix of the
 pseudospectral pipeline runs the block-eigenvalue crossing test).
 """
@@ -187,7 +188,13 @@ def minimize_on_hyperplane(
 # --------------------------------------------------------------------------
 
 def equalize_endpoints(field: ScalarField, x0, y0) -> tuple[np.ndarray, np.ndarray]:
-    """Replace the lower endpoint by the nearest point on [x0, y0] at the higher level."""
+    """Replace the lower endpoint by the nearest point on [x0, y0] at the higher level.
+
+    It is the field's advance from the lower endpoint toward the higher one,
+    capped at the higher level (:meth:`ScalarField.advance_limit`, one of its
+    three segment methods); when the field does not rise past the cap's slack
+    before the higher endpoint, it is that endpoint.
+    """
     x0 = np.asarray(x0, dtype=float).copy()
     y0 = np.asarray(y0, dtype=float).copy()
     fx = field.value(x0)
@@ -195,9 +202,10 @@ def equalize_endpoints(field: ScalarField, x0, y0) -> tuple[np.ndarray, np.ndarr
     if fx == fy:
         return x0, y0
     low, high = (x0, y0) if fx < fy else (y0, x0)
-    p = field.first_crossing(low, high, max(fx, fy))
+    cap = max(fx, fy)
+    p = field.advance_limit(low, high, cap, field.level_slack(cap))
     if p is None:
-        raise PreconditionError("segment never attains the higher endpoint level")
+        p = high.copy()
     return (p, y0) if fx < fy else (x0, p)
 
 

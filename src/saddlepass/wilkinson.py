@@ -113,7 +113,7 @@ _PRUNE_RTOL = 1e-5
 _BALL_SPAN = 0.6
 _BALL_CAP = 0.9
 _BALL_SHRINK = 0.8
-_BALL_RETRIES = 4
+_BALL_RETRIES = 2
 
 #: Pairs per array pass of :func:`voronoi_edges`, which bounds its working
 #: memory by _CLIP_BLOCK * (n + 4) row entries (a peak of 18 MB at n = 300).
@@ -158,15 +158,15 @@ def _sigma_on_frame(frame: SegmentFrame, y: float, derivatives: bool = False):
     return sigma, float(c[-1].imag), float(d2)
 
 
-def _level_intervals(frame: SegmentFrame, level: float, end: float) -> list[tuple[float, float]]:
-    """Pieces of [0, end] cut at the Byers crossings of ``level`` on the frame.
+def _level_intervals(frame: SegmentFrame, level: float) -> list[tuple[float, float]]:
+    """Pieces of the frame's segment cut at the Byers crossings of ``level``.
 
     On each piece sigma stays on one side of the level (or touches it), so one
     midpoint evaluation tells sub-level pieces from super-level ones.
     """
     ys = byers_vertical_crossings(frame.matrix, 0.0, level)
-    ys = ys[(ys > 0.0) & (ys < end)]
-    bounds = np.concatenate(([0.0], ys, [end]))
+    ys = ys[(ys > 0.0) & (ys < frame.length)]
+    bounds = np.concatenate(([0.0], ys, [frame.length]))
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -253,7 +253,7 @@ def _segment_extremize(a, p: complex, q: complex, mode: str,
         eps = best * (1.0 + sign * _LEVEL_INFLATION)
         improved = False
         max_active = 0.0
-        for lo, hi in _level_intervals(frame, eps, ell):
+        for lo, hi in _level_intervals(frame, eps):
             if hi - lo <= 1e-15 * ell or (smooth and lo <= best_y <= hi):
                 continue
             y = 0.5 * (lo + hi)
@@ -286,7 +286,7 @@ class PreparedMatrix(SigmaMinField):
     """A validated matrix with the spectral data every entry point needs.
 
     It is the sigma_min field of the matrix with exact segment methods: its
-    overrides of the four :class:`ScalarField` segment methods run the
+    overrides of the three :class:`ScalarField` segment methods run the
     certified segment extremization and the block-eigenvalue crossing test
     on ``matrix``.  ``eigs`` are sorted as :func:`eigenvalues` sorts them,
     ``norm`` is the spectral norm, ``tol_eig`` the residual up to which a
@@ -323,40 +323,20 @@ class PreparedMatrix(SigmaMinField):
         return v, _c2p(z)
 
     def advance_limit(self, p, q, cap, slack):
+        # One crossing test at the cap (Byers needs a positive level, so at
+        # cap + slack when the cap is not): the first piece above the level
+        # starts the result, if that piece or a later one rises past the slack.
         frame = rotate_to_vertical(self.matrix, _p2c(p), _p2c(q))
-        ell = frame.length
         g = partial(_sigma_on_frame, frame)
-        eps_det = cap + slack
-        violation_start = next(
-            (lo for lo, hi in _level_intervals(frame, eps_det, ell)
-             if hi - lo > 1e-15 * ell and g(0.5 * (lo + hi)) > eps_det),
-            None,
-        )
-        if violation_start is None:
-            return None
-        # Exact crossing of the cap itself, just before the violation: the
-        # start of the first super-cap piece, else the last cap crossing.
-        if cap > 0.0:
-            pieces = _level_intervals(frame, cap, violation_start + 1e-12 * ell)[:-1]
-            if pieces:
-                y_star = next(
-                    (lo for lo, hi in pieces if g(0.5 * (lo + hi)) > cap), pieces[-1][1]
-                )
-                return _c2p(frame.point_at(y_star))
-        return _c2p(frame.point_at(violation_start))
-
-    def first_crossing(self, p, q, target):
-        frame = rotate_to_vertical(self.matrix, _p2c(p), _p2c(q))
-        ell = frame.length
-        g = partial(_sigma_on_frame, frame)
-        if g(0.0) >= target:
-            return np.asarray(p, dtype=float).copy()
-        # Crossings up to just past q count: q itself often sits at the target.
-        pieces = _level_intervals(frame, target, ell * (1 + 1e-12))[:-1]
-        for lo, hi in pieces:
-            if g(0.5 * (lo + hi)) > target:
-                return _c2p(frame.point_at(lo))
-        return _c2p(frame.point_at(pieces[0][1])) if pieces else None
+        level = cap if cap > 0.0 else cap + slack
+        start = None
+        for lo, hi in _level_intervals(frame, level):
+            v = g(0.5 * (lo + hi))
+            if start is None and v > level:
+                start = lo
+            if v > cap + slack:
+                return _c2p(frame.point_at(start))
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +502,7 @@ def _dips_below(pm: PreparedMatrix, start: complex, end: complex, level: float,
         va, vb = np.concatenate((va, v)), np.concatenate((v, vb))
     frame = rotate_to_vertical(pm.matrix, start, end)
     return any(_sigma_on_frame(frame, 0.5 * (lo + hi)) < level
-               for lo, hi in _level_intervals(frame, level, frame.length))
+               for lo, hi in _level_intervals(frame, level))
 
 
 def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:

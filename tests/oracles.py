@@ -68,6 +68,29 @@ def scan_first_crossing(phi, target, n=100_000, refine=60):
     return 0.5 * (lo + hi)
 
 
+def scan_first_rise(phi_many, cap, n=10_001, refine=60):
+    """First t in [0, 1] where phi rises above ``cap``, by dense scan plus bisection.
+
+    ``phi_many`` maps an array of t to values.  The rise is 0 when the first
+    sample is above the cap, and None when no sample is.
+    """
+    ts = np.linspace(0.0, 1.0, n)
+    above = np.nonzero(phi_many(ts) > cap)[0]
+    if above.size == 0:
+        return None
+    j = int(above[0])
+    if j == 0:
+        return 0.0
+    lo, hi = ts[j - 1], ts[j]
+    for _ in range(refine):
+        mid = 0.5 * (lo + hi)
+        if phi_many(np.array([mid]))[0] > cap:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def scan_sigma_crossings(a, x, eps, n=10_000, refine=60):
     """Heights where some singular value of A - (x+iy)I equals eps.
 

@@ -106,16 +106,6 @@ def test_field_dimension_accepts_numpy_integers():
     assert ScalarField(np.int64(3), lambda x: 0.0).dimension == 3
 
 
-def test_first_crossing_is_the_start_when_it_already_reaches_the_target():
-    f = make_quadratic_field([1.0, -1.0])  # x1^2 - x2^2 is 0 >= -1 at the origin
-    assert np.array_equal(f.first_crossing([0.0, 0.0], [1.0, 0.0], -1.0), [0.0, 0.0])
-
-
-def test_first_crossing_is_none_when_the_target_is_never_reached():
-    f = make_quadratic_field([1.0, -1.0])  # -x2^2 <= 0 < 0.5 on x1 = 0
-    assert f.first_crossing([0.0, 0.0], [0.0, 1.0], 0.5) is None
-
-
 def test_advance_limit_is_the_start_when_it_already_exceeds_the_cap():
     f = make_quadratic_field([1.0, -1.0])  # x1^2 >= 0 > -0.5 on x2 = 0
     assert np.array_equal(f.advance_limit([0.0, 0.0], [1.0, 0.0], -0.5, 0.0), [0.0, 0.0])

@@ -574,7 +574,7 @@ def test_run_local_step_1a_stops_on_the_gap():
 
 
 def test_run_local_sends_every_segment_operation_to_the_fields_oracle():
-    # The field's own segment methods receive all four 1-D operations; this
+    # The field's own segment methods receive all three 1-D operations; this
     # subclass records each call and delegates to the sampled methods, so the
     # run is unchanged.
     calls = []
@@ -592,10 +592,6 @@ def test_run_local_sends_every_segment_operation_to_the_fields_oracle():
             calls.append("advance_limit")
             return super().advance_limit(p, q, cap, slack)
 
-        def first_crossing(self, p, q, target):
-            calls.append("first_crossing")
-            return super().first_crossing(p, q, target)
-
     prob = get_problem("double-well-curve")
     start = ([0.25, 0.7], [0.75, 0.2])  # unequal values, so equalizing crosses
     plain = run_local(prob.field, prob.region, *start)
@@ -603,6 +599,6 @@ def test_run_local_sends_every_segment_operation_to_the_fields_oracle():
     field = Recording(2, f._evaluate, f._gradient, batch_evaluate=f._batch_evaluate,
                       name=f.name)
     run = run_local(field, prob.region, *start)
-    assert set(calls) == {"first_crossing", "minimize", "advance_limit", "maximize"}
+    assert set(calls) == {"minimize", "advance_limit", "maximize"}
     assert run.stop_reason == plain.stop_reason and len(run.records) == len(plain.records)
     assert all(np.array_equal(a.x, b.x) and a.M == b.M for a, b in zip(run.records, plain.records))

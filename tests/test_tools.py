@@ -1,8 +1,10 @@
-"""The output gate's recorder, ``tools/result_fingerprints.py``: the inputs of
-each run, and one recorded Wilkinson result."""
+"""The output gate: the recorder ``tools/result_fingerprints.py`` (the inputs
+of each run, one recorded Wilkinson result and the LAPACK counts), and the
+drift summary and LAPACK rows of ``tools/compare_outputs.py``."""
 
 import dataclasses
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -69,10 +71,38 @@ def test_lapack_counts_cover_only_the_solve(tool, tmp_path):
     assert "counted" not in np.linalg.svd.__name__  # restored after the solve
 
 
-def test_drift_counts_changed_and_conjugate_inputs_and_the_largest_eps_change(tool):
+@pytest.fixture(scope="module")
+def compare():
     spec = importlib.util.spec_from_file_location("compare_outputs", TOOL.parent / "compare_outputs.py")
-    compare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lapack_counts_go_beside_the_json_and_not_into_it(tool, tmp_path, monkeypatch):
+    monkeypatch.setattr(tool, "RUNS", {"diag": tool.RUNS["diag"]})
+    out = tmp_path / "out.json"
+    assert tool.main([str(out)]) == 0
+    assert set(json.loads(out.read_text())) == {"runs", "inputs"}
+    counts = json.loads((tmp_path / "out.lapack.json").read_text())
+    assert list(counts) == ["diag"] and list(counts["diag"]) == ["eigvals", "svd", "svd mats"]
+    assert all(v > 0 for v in counts["diag"].values())
+
+
+def test_lapack_rows_show_each_run_as_parent_to_change(compare):
+    parent = {"a": {"eigvals": 790, "svd": 6688, "svd mats": 23959},
+              "b": {"eigvals": 7, "svd": 34, "svd mats": 55}}
+    change = {"a": {"eigvals": 701, "svd": 6695, "svd mats": 23966},
+              "b": {"eigvals": 7, "svd": 33, "svd mats": 54}}
+    header, *rows = compare.lapack_rows(parent, change)
+    assert header.split() == ["lapack", "eigvals", "svd", "svd", "mats"]
+    assert [row.split() for row in rows] == [
+        ["a", "790", "->", "701", "6688", "->", "6695", "23959", "->", "23966"],
+        ["b", "7", "->", "7", "34", "->", "33", "55", "->", "54"],
+    ]
+
+
+def test_drift_counts_changed_and_conjugate_inputs_and_the_largest_eps_change(tool, compare):
 
     def entry(eps, z, pair, records=3, stop="point_tol"):
         return {"fingerprint": repr(tool._canon((eps, z, True, records))),

@@ -28,7 +28,13 @@ from saddlepass import (
 from saddlepass.errors import BoundaryHitError, DegenerateSpectrumError, PreconditionError
 
 from conftest import BIDIAG_5X5_EPS, bidiagonal_5x5, bidiagonal_10x10
-from oracles import golden_minimize, level_sweep_extremize, voronoi_edges_reference
+from oracles import (
+    golden_minimize,
+    level_sweep_extremize,
+    scan_first_crossing,
+    scan_first_rise,
+    voronoi_edges_reference,
+)
 
 
 # ------------------------------------------------------ segment minimizers
@@ -406,7 +412,7 @@ def _dips_below_byers(pm, start, end, level, samples):
         return False
     frame = wk.rotate_to_vertical(pm.matrix, start, end)
     return any(wk._sigma_on_frame(frame, 0.5 * (lo + hi)) < level
-               for lo, hi in wk._level_intervals(frame, level, frame.length))
+               for lo, hi in wk._level_intervals(frame, level))
 
 
 @pytest.mark.parametrize("n", [5, 12, 20])
@@ -487,6 +493,97 @@ def test_wilkinson_local_bidiagonal_value_and_pair_distance(ex_bidiag5):
     # sigma at the reported point equals the reported value
     sig = smallest_singular_value(res.matrix - res.coalescence_point * np.eye(5))
     assert abs(sig - res.epsilon_bar_estimate) <= 1e-12 * (1.0 + sig)
+
+
+def _sigma_along(a, p: complex, q: complex):
+    """sigma_min(A - z I) at z = p + t (q - p), for an array of t."""
+    eye = np.eye(a.shape[0])
+
+    def phi_many(ts):
+        zs = p + np.asarray(ts) * (q - p)
+        return np.linalg.svd(a - zs[:, None, None] * eye, compute_uv=False)[:, -1]
+
+    return phi_many
+
+
+@pytest.mark.parametrize("make", [
+    bidiagonal_5x5, bidiagonal_10x10, partial(_random_matrix, "scaled", 12, 3),
+], ids=["bidiag5", "bidiag10", "random12"])
+def test_prepared_advance_limit_is_the_first_rise_of_a_dense_scan(make):
+    # Segments from near an eigenvalue to a random point of the region, and
+    # caps below the start, inside each segment's range and out of its reach:
+    # where the scan rises past cap + slack the advance stops at its first
+    # rise through the cap; where sigma cannot reach the cap (it is
+    # 1-Lipschitz between the samples) there is no limit.
+    pm = wk.prepare(make())
+    rng = np.random.default_rng(0)
+    lower, upper = pm.region.lower, pm.region.upper
+    outcomes = Counter()
+    samples = 4_001
+    for lam in pm.eigs[:3]:
+        p = lam + 0.01 * complex(*rng.standard_normal(2))
+        q = complex(*rng.uniform(lower, upper))
+        phi = _sigma_along(pm.matrix, p, q)
+        vs = phi(np.linspace(0.0, 1.0, samples))
+        top = float(vs.max())
+        reach = top + abs(q - p) / (samples - 1)
+        for cap in (0.5 * vs[0], 0.25 * top, 0.5 * top, 0.75 * top, reach):
+            slack = pm.level_slack(cap)
+            t_scan = scan_first_rise(phi, cap, n=samples)
+            out = pm.advance_limit(wk._c2p(p), wk._c2p(q), cap, slack)
+            if cap == reach:
+                assert out is None
+                outcomes["none"] += 1
+            elif top > cap + slack:
+                t_out = ((wk._p2c(out) - p) * (q - p).conjugate()).real / abs(q - p) ** 2
+                assert abs(t_out - t_scan) <= 1e-10
+                outcomes["rise" if t_scan > 0.0 else "start"] += 1
+    assert outcomes == {"none": 3, "start": 3, "rise": 9}
+
+
+def test_equalize_lands_on_the_first_crossing_of_a_dense_scan(ex_bidiag5):
+    # The heuristic pair's pulled-in endpoints differ in sigma, so the lower
+    # one moves to where sigma first reaches the higher one's value.
+    pm = wk.prepare(ex_bidiag5)
+    (l1, l2), _, _ = voronoi_heuristic(pm)
+    x0, y0 = (wk._c2p(z) for z in wk._start_points(l1, l2))
+    fx, fy = pm.value(x0), pm.value(y0)
+    low, high = (x0, y0) if fx < fy else (y0, x0)
+    x, y = equalize_endpoints(pm, x0, y0)
+    moved = x if fx < fy else y
+    assert np.array_equal(y if fx < fy else x, high)
+    d = high - low
+    t_oracle = scan_first_crossing(lambda t: pm.value(low + t * d), max(fx, fy), n=5_001)
+    t_mine = float((moved - low) @ d / (d @ d))
+    assert 0.0 < t_mine < 1.0
+    assert abs(t_mine - t_oracle) <= 1e-10
+
+
+def test_each_advance_makes_one_crossing_test(monkeypatch, ex_bidiag5):
+    # The advance reads its limit and whether the cap is exceeded past the
+    # slack off the same crossing test at the cap.
+    calls = Counter()
+    crossings = wk.byers_vertical_crossings
+
+    def counted(*args, **kwargs):
+        calls["byers"] += 1
+        return crossings(*args, **kwargs)
+
+    advances = []
+    advance = wk.PreparedMatrix.advance_limit
+
+    def recorded(self, p, q, cap, slack):
+        before = calls["byers"]
+        out = advance(self, p, q, cap, slack)
+        if cap > 0.0:
+            advances.append((calls["byers"] - before, out is not None))
+        return out
+
+    monkeypatch.setattr(wk, "byers_vertical_crossings", counted)
+    monkeypatch.setattr(wk.PreparedMatrix, "advance_limit", recorded)
+    wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
+    assert any(limited for _, limited in advances)
+    assert all(tests == 1 for tests, _ in advances)
 
 
 def test_equalize_keeps_the_pulled_in_conjugate_pair_apart():
@@ -1012,7 +1109,7 @@ def test_wilkinson_local_solves_on_the_byers_oracle(monkeypatch, ex_bidiag5):
     def fail(*args, **kwargs):
         raise AssertionError("sampled segment method used")
 
-    for name in ("minimize", "maximize", "advance_limit", "first_crossing"):
+    for name in ("minimize", "maximize", "advance_limit"):
         monkeypatch.setattr(ScalarField, name, fail)
     res = wilkinson_local(ex_bidiag5, 0.461 + 0.650j, 0.451 + 0.553j)
     assert res.converged
@@ -1034,22 +1131,12 @@ def test_wilkinson_local_runs_on_the_prepared_matrix(monkeypatch, ex_bidiag5):
     assert len(fields) == 1 and fields[0] is pm
 
 
-def test_prepared_first_crossing_is_the_start_when_it_already_reaches_the_target(
-        monkeypatch, ex_bidiag5):
-    # sigma at p is above the target, so no level crossing is computed.
-    monkeypatch.setattr(wk, "_level_intervals", lambda *args: pytest.fail("crossing test run"))
-    pm = wk.prepare(ex_bidiag5)
-    p = np.array([0.7, 0.3])
-    out = pm.first_crossing(p, [0.8, 0.4], 0.5 * pm.value(p))
-    assert np.array_equal(out, p) and out is not p
-
-
 def test_sigma_min_field_is_its_own_scalar_field_with_sampled_segments(ex_bidiag5):
     # A plain SigmaMinField keeps the sampled segment methods; only the
     # prepared matrix swaps in the exact ones.
     f = SigmaMinField(ex_bidiag5)
     assert f.as_scalar_field() is f
     assert isinstance(f, ScalarField) and f.dimension == 2 and f.name == "sigma-min"
-    for name in ("minimize", "maximize", "advance_limit", "first_crossing"):
+    for name in ("minimize", "maximize", "advance_limit"):
         assert getattr(type(f), name) is getattr(ScalarField, name)
         assert getattr(wk.PreparedMatrix, name) is not getattr(ScalarField, name)

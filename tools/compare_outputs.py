@@ -11,8 +11,10 @@ checkout twice each, once with ``PARENT_SRC`` on ``PYTHONPATH`` and once with
 this checkout's ``src``, and prints each run's own output (the fingerprint
 tool's table of counts per run: voronoi-random at seeds 0-23 and 8675309,
 pair-scan, grid-bisect and the unscaled, real, diag and structured Wilkinson
-inputs, each with the LAPACK calls its solves made), a unified diff of each pair of JSON outputs, and the line count of
-each side's ``saddlepass/*.py``.  For each fingerprint run it also prints a
+inputs, each with the LAPACK calls its solves made), a unified diff of each
+pair of JSON outputs, and the line count of each side's ``saddlepass/*.py``.
+The LAPACK calls of each fingerprint run are printed once more, one row per
+run, as ``parent -> change`` for ``eigvals``, ``svd`` and ``svd mats``.  For each fingerprint run it also prints a
 drift summary: the inputs whose pair, convergence, stop reason or record
 count changed (or that raise on one side only), how many of those moved only
 to the conjugate point, each such input by name, and the largest relative
@@ -108,6 +110,16 @@ def _print_drift(parent_text: str, change_text: str) -> None:
             print(f"  {key}{' (conjugate)' if key in d['mirrored'] else ''}")
 
 
+def lapack_rows(parent: dict, change: dict) -> list[str]:
+    """One line per fingerprint run: its LAPACK counts as parent -> change."""
+    keys = ("eigvals", "svd", "svd mats")
+    rows = [f"{'lapack':<27}" + "".join(f"{k:>22}" for k in keys)]
+    for run, old in parent.items():
+        cells = (f"{old[k]} -> {change[run][k]}" for k in keys)
+        rows.append(f"{run:<27}" + "".join(f"{c:>22}" for c in cells))
+    return rows
+
+
 def _line_count(src: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (src / "saddlepass").glob("*.py"))
 
@@ -134,6 +146,10 @@ def main(argv=None) -> int:
             sys.stdout.writelines(diff)
             if tool == "result_fingerprints.py":
                 _print_drift(texts["parent"], texts["change"])
+                counts = (json.loads((Path(tmp) / f"{label}-{tool}.json")
+                                     .with_suffix(".lapack.json").read_text())
+                          for label in sources)
+                print("\n".join(lapack_rows(*counts)))
             differs = differs or bool(diff)
     return 1 if differs else 0
 

@@ -31,7 +31,8 @@ largest gap (at least 0); stdout prints the same rows with wall times and
 with the numpy ``eigvals`` and ``svd`` calls and stacked SVD matrices that
 the run's solves made (the checks' own calls are not counted).  The counts
 stay out of the JSON, so two sources that give the same results give the
-same JSON however much LAPACK work each does.  The JSON is sorted and
+same JSON however much LAPACK work each does; they go per run to
+``OUT.lapack.json`` beside it instead.  The JSON is sorted and
 indented, so ``diff parent.json change.json`` lists every changed input, and
 a change that fails more often on any run shows in that run's ``failed``.
 One run takes about 3 minutes on a 2-core host.
@@ -237,10 +238,11 @@ _COUNTS = ("inputs", "converged", "unconverged", "raised", "wrong", "failed")
 _LAPACK_COUNTS = ("eigvals", "svd", "svd mats")
 
 
-def build_fingerprints() -> dict:
+def build_fingerprints() -> tuple[dict, dict]:
+    """The JSON of every run's inputs, and each run's LAPACK counts."""
     print(f"{'run':<27}" + "".join(f"{k:>{len(k) + 2}}" for k in _COUNTS)
           + f"{'max gap':>10}{'time s':>8}" + "".join(f"{k:>10}" for k in _LAPACK_COUNTS))
-    runs, inputs = {}, {}
+    runs, inputs, counts = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for key, build in RUNS.items():
             start = time.perf_counter()
@@ -251,7 +253,8 @@ def build_fingerprints() -> dict:
             print(f"{key:<27}" + "".join(f"{summary[k]:>{len(k) + 2}}" for k in _COUNTS)
                   + f"{summary['max_gap']:>10.2g}{time.perf_counter() - start:>8.1f}"
                   + "".join(f"{lapack[k]:>10}" for k in _LAPACK_COUNTS), flush=True)
-    return {"runs": runs, "inputs": inputs}
+            counts[key] = {k: lapack[k] for k in _LAPACK_COUNTS}
+    return {"runs": runs, "inputs": inputs}, counts
 
 
 def main(argv=None) -> int:
@@ -259,8 +262,10 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print("usage: python tools/result_fingerprints.py OUT.json", file=sys.stderr)
         return 1
-    data = build_fingerprints()
-    Path(args[0]).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    data, counts = build_fingerprints()
+    out = Path(args[0])
+    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    out.with_suffix(".lapack.json").write_text(json.dumps(counts, indent=1) + "\n")
     return 0
 
 
