@@ -34,7 +34,7 @@ finds no sub-level piece.  Ties go to the first edge in scan order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, partial
 from typing import Optional
 
@@ -99,9 +99,6 @@ _SAMPLE_SLACK = 64 * np.finfo(float).eps / 2
 #: inside; exact eigenvalues give sigma = 0 where level components degenerate
 #: to points.
 _PULL_IN = 0.02
-
-#: Iteration cap per pair in exhaustive mode (converging pairs need few).
-_EXHAUSTIVE_MAX_ITER = 20
 
 #: Relative margin above the heuristic pair's converged epsilon at which the
 #: exhaustive scan tests Voronoi cells for pruning: the error a converged
@@ -465,22 +462,19 @@ def _dips_below(pm: PreparedMatrix, start: complex, end: complex, level: float,
     is 1-Lipschitz, so on an interval of length l between samples a and b it
     is at least the tent bound ``(a + b - l) / 2``, and a bound at or above
     the level plus a slack for the samples' rounding (``_SAMPLE_SLACK``)
-    clears the interval.  Past the coarser bound ``min(samples) - h/2``, each
-    round samples the midpoints of the uncleared intervals in one batch,
-    until a sample is below the level (yes) or every interval clears (no).
+    clears the interval.  Each round samples the midpoints of the uncleared
+    intervals in one batch, until a sample is below the level (yes) or every
+    interval clears (no).
     An interval whose smaller end value is g above the level needs at least
     ``ceil(l / 2g) - 1`` more samples, and at least its midpoint; once those
     and the samples spent would pass ``_SUBDIVIDE_MAX``, the level's Byers
     crossings cut the segment into pieces on which sigma stays on one side
     of the level, and a midpoint decides each piece.
     """
-    sample_min = samples.min()
-    if level <= 0.0 or sample_min < level:
+    if level <= 0.0 or samples.min() < level:
         return True
     cleared = level + _SAMPLE_SLACK * (pm.norm + max(abs(start), abs(end)))
     length = abs(end - start)
-    if sample_min - 0.5 * length / (_EDGE_SAMPLES - 1) >= cleared:
-        return False
     lo, hi, va, vb = _EDGE_T[:-1], _EDGE_T[1:], samples[:-1], samples[1:]
     spent = 0
     while True:
@@ -532,8 +526,6 @@ def voronoi_heuristic(a) -> tuple[tuple[complex, complex], complex, float]:
     repeated = np.argwhere(np.triu(close, 1))  # row-major: the first (i, j)
     if repeated.size:
         raise DegenerateSpectrumError(complex(eigs[repeated[0, 0]]))
-    if not pm.voronoi:
-        raise RuntimeError("no Voronoi edges inside the bounding box")
     best = None  # (v, edge index, z, edge)
     for _, k, e, samples in pm.voronoi:
         if best is not None and not _dips_below(
@@ -689,16 +681,15 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
     """Estimate the Wilkinson distance of a matrix.
 
     Runs the Voronoi heuristic to pick an eigenvalue pair, solves that pair,
-    then runs one loop over eigenvalue pairs.  By default the loop returns
-    the first pair that converges: the heuristic pair, else the pairs of the
-    other Voronoi edges in ``pm.voronoi`` order, each with the caller's
-    options.  A fallback pair's pass need not be the smallest.  With
-    ``opts.exhaustive`` the loop sees every pair, nearest first, which covers
-    the known failure mode of the heuristic, and returns the smallest
-    converged estimate; the pairs other than the heuristic one run at most
-    ``_EXHAUSTIVE_MAX_ITER`` iterations per ball, and every pair is recorded
-    in ``pair_scan``, a failed solve with its error.  If no pair converges,
-    the heuristic pair's result is returned, or its error raised.
+    then runs one loop over eigenvalue pairs, each pair with the caller's
+    options.  By default the loop returns the first pair that converges: the
+    heuristic pair, else the pairs of the other Voronoi edges in
+    ``pm.voronoi`` order.  A fallback pair's pass need not be the smallest.
+    With ``opts.exhaustive`` the loop sees every pair, nearest first, which
+    covers the known failure mode of the heuristic, and returns the smallest
+    converged estimate; every pair is recorded in ``pair_scan``, a failed
+    solve with its error.  If no pair converges, the heuristic pair's result
+    is returned, or its error raised.
 
     The exhaustive loop skips pairs that cannot beat the heuristic.  When
     the heuristic pair converges at eps_h above ``pm.tol_eig``, the level
@@ -730,14 +721,12 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
         )
 
     pairs = [pair] + [e.pair for _, _, e, _ in pm.voronoi if e.pair != pair]
-    scan_opts = opts
     if opts.exhaustive:
         eigs = pm.eigs
         # Scalar abs: numpy's array abs can round the distances differently.
         order = sorted(((i, j) for i in range(len(eigs)) for j in range(i + 1, len(eigs))),
                        key=lambda ij: abs(eigs[ij[0]] - eigs[ij[1]]))
         pairs = [(complex(eigs[i]), complex(eigs[j])) for i, j in order]
-        scan_opts = replace(opts, local=replace(opts.local, max_iter=_EXHAUSTIVE_MAX_ITER))
 
     try:
         heuristic = wilkinson_local(pm, pair[0], pair[1], opts)
@@ -763,7 +752,7 @@ def wilkinson_distance(a, opts: Optional[WilkinsonOptions] = None) -> WilkinsonR
                                           "the Voronoi cell boundary of a start point"})
                     continue
             try:
-                entry = wilkinson_local(pm, li, lj, scan_opts)
+                entry = wilkinson_local(pm, li, lj, opts)
             except (*NUMERICAL_FAILURES, ValueError) as err:
                 entry = err
         if isinstance(entry, Exception):

@@ -36,6 +36,16 @@ def test_each_run_lists_its_inputs(tool, tmp_path):
         "bidiag5", "bidiag10", "grcar12", "grcar20", "kahan10", "kahan16", "companion8",
         "jordan8", "triu12-s3", "triu20-s4",
     ]
+    families = ("unscaled", "real", "structured")
+    assert names["exhaustive"] == [f"{f}/{name}" for f in families for name in names[f]]
+    assert len(names["exhaustive"]) == 130
+
+
+def test_the_exhaustive_run_scans_every_pair(tool, tmp_path):
+    case = next(c for c in tool.RUNS["exhaustive"](tmp_path) if c.name == "structured/bidiag5")
+    assert len(case.solve().pair_scan) == 10
+    (default,) = [c for c in tool.RUNS["structured"](tmp_path) if c.name == "bidiag5"]
+    assert default.solve().pair_scan is None
 
 
 def test_a_converged_wilkinson_record_has_its_gap(tool, tmp_path):
@@ -104,28 +114,34 @@ def test_lapack_rows_show_each_run_as_parent_to_change(compare):
 
 def test_drift_counts_changed_and_conjugate_inputs_and_the_largest_eps_change(tool, compare):
 
-    def entry(eps, z, pair, records=3, stop="point_tol"):
+    def entry(eps, z, pair, records=3, stop="point_tol", sha="a"):
         return {"fingerprint": repr(tool._canon((eps, z, True, records))),
-                "pair": repr(tool._canon(pair)), "converged": True, "stop_reason": stop}
+                "pair": repr(tool._canon(pair)), "converged": True, "stop_reason": stop,
+                "output_sha256": sha}
 
     bisection = {"fingerprint": repr((0.5, 0.75, 9, "tol")), "converged": True,
-                 "stop_reason": "tol"}
+                 "stop_reason": "tol", "output_sha256": "b"}
     upper = ((0.1 + 1.0j), (2.0 + 1.0j))
     lower = tuple(z.conjugate() for z in upper)
     parent = {"runs": {"r": {}, "g": {}}, "inputs": {
         "r/mirror": entry(1.0, 1.0 + 1.0j, upper),
         "r/records": entry(2.0, 3.0j, upper),
         "r/same": entry(4.0, 1.0j, upper),
+        "r/scan": entry(6.0, 2.0j, upper),
         "r/raised": {"raised": "BoundaryHitError: boundary"},
         "g/bisect": bisection}}
     change = {"runs": {"r": {}, "g": {}}, "inputs": {
         "r/mirror": entry(1.0 + 1e-12, 1.0 - 1.0j, lower),
         "r/records": entry(2.0, 3.0j, upper, records=4),
         "r/same": entry(4.0 * (1 + 3e-9), 1.0j, upper),
+        "r/scan": entry(6.0, 2.0j, upper, sha="c"),
         "r/raised": entry(5.0, 1.0j, upper),
         "g/bisect": dict(bisection, fingerprint=repr((0.5, 0.75 * (1 + 1e-10), 9, "tol")))}}
     d = compare.drift(parent, change)
     assert d["r"]["changed"] == ["r/mirror", "r/records", "r/raised"]
     assert d["r"]["mirrored"] == ["r/mirror"]
+    # Only the digest of r/scan's records and pair scan changed.
+    assert d["r"]["output_only"] == ["r/scan"]
     assert d["r"]["max_eps_rel"] == pytest.approx(3e-9)
-    assert d["g"] == {"changed": [], "mirrored": [], "max_eps_rel": pytest.approx(1e-10)}
+    assert d["g"] == {"changed": [], "mirrored": [], "output_only": [],
+                      "max_eps_rel": pytest.approx(1e-10)}

@@ -291,6 +291,52 @@ def test_voronoi_edges_match_the_pairwise_reference_clipper(name):
         assert abs(e.end - r.end) <= 1e-14 * (1.0 + abs(r.end))
 
 
+def _cluster(rng, centre, gap, k=4):
+    """k points about ``centre`` whose closest two are ``gap`` apart."""
+    w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    w /= min(abs(a - b) for i, a in enumerate(w.tolist()) for b in w.tolist()[i + 1:])
+    return centre + gap * w
+
+
+def _nondegenerate_spectra():
+    """(name, spectrum) pairs: complex Gaussians, real spectra on one line, and
+    clusters whose closest gap is just above the repeated-eigenvalue test
+    ``1e-10 (1 + norm)`` at the smallest norm the spectrum allows."""
+    for n in (2, 3, 8, 20, 50):
+        g = np.random.default_rng(500 + n)
+        yield f"complex{n}", g.standard_normal(n) + 1j * g.standard_normal(n)
+        yield f"real{n}", np.random.default_rng(600 + n).standard_normal(n).astype(complex)
+    gap = lambda pts: 1.001e-10 * (1.0 + 1.01 * np.abs(pts).max())
+    for n in (3, 12, 30):
+        g = np.random.default_rng(700 + n)
+        base = g.standard_normal(n) + 1j * g.standard_normal(n)
+        yield f"cluster{n}", np.concatenate((base[1:], _cluster(g, base[0], gap(base))))
+        real = g.standard_normal(n)
+        gaps = gap(real) * (1.0 + g.random(3))
+        yield f"real-cluster{n}", np.concatenate(
+            (real[1:], real[0] + np.cumsum(np.concatenate(([0.0], gaps))))).astype(complex)
+
+
+@pytest.mark.parametrize("name, eigs", list(_nondegenerate_spectra()),
+                         ids=[name for name, _ in _nondegenerate_spectra()])
+def test_a_nondegenerate_spectrum_keeps_its_closest_pairs_edge(name, eigs):
+    # The closest pair's bisector holds its midpoint +- d/4 (d its gap) inside
+    # every other point's half-plane, and the midpoint lies 0.1 (1 + norm)
+    # inside the spectrum box, so that edge survives the clip.
+    norm = float(np.abs(eigs).max())
+    dist = lambda ij: abs(complex(eigs[ij[0]]) - complex(eigs[ij[1]]))
+    i, j = min(((i, j) for i in range(len(eigs)) for j in range(i + 1, len(eigs))), key=dist)
+    assert dist((i, j)) > 1e-10 * (1.0 + norm)  # not a repeated eigenvalue
+    pair = {complex(eigs[i]), complex(eigs[j])}
+    (edge,) = [e for e in voronoi_edges(eigs, wk._spectrum_box(eigs, norm)) if set(e.pair) == pair]
+    mid = 0.5 * (eigs[i] + eigs[j])
+    u = 1j * (eigs[j] - eigs[i]) / dist((i, j))  # along the bisector
+    t = lambda z: ((z - mid) * np.conj(u)).real
+    tol = 1e-15 * (1.0 + abs(mid))
+    assert min(t(edge.start), t(edge.end)) <= tol and max(t(edge.start), t(edge.end)) >= -tol
+    assert abs(t(edge.end) - t(edge.start)) >= 0.5 * dist((i, j)) * (1.0 - 1e-3)
+
+
 def test_voronoi_edges_memory_is_bounded_by_the_clip_block():
     # Blocks of _CLIP_BLOCK pairs keep the peak near 12 MB at n = 200; the
     # 19900 pairs in one pass would take about 224 MB.
@@ -896,6 +942,31 @@ def test_heuristic_error_raised_when_no_pair_converges(monkeypatch, ex_bidiag5, 
     with pytest.raises(PreconditionError, match="no feasible start") as raised:
         wilkinson_distance(ex_bidiag5, WilkinsonOptions(exhaustive=exhaustive))
     assert raised.value in errors  # the heuristic pair's own error object
+
+
+def test_exhaustive_pairs_run_with_the_callers_max_iter(monkeypatch, ex_bidiag5):
+    # Every pair of the scan gets the caller's iteration cap, so no pair
+    # converges in one iteration and the heuristic's unconverged result comes
+    # back, as in the default mode.
+    max_iters = []
+    run = wk.run_local
+
+    def recording(field, region, x0, y0, opts):
+        max_iters.append(opts.max_iter)
+        return run(field, region, x0, y0, opts=opts)
+
+    monkeypatch.setattr(wk, "run_local", recording)
+    local = LocalOptions(max_iter=1)
+    res = wilkinson_distance(ex_bidiag5, WilkinsonOptions(local=local, exhaustive=True))
+    # Solves that hit their ball's boundary run again, with the same options.
+    assert len(max_iters) >= len(res.pair_scan) == 10 and set(max_iters) == {1}
+    assert not res.converged and res.stop_reason == "max_iter"
+    assert res.chosen_pair == res.heuristic_pair
+    assert not any(entry["converged"] for entry in res.pair_scan)
+    default = wilkinson_distance(ex_bidiag5, WilkinsonOptions(local=local))
+    outcome = lambda r: (r.chosen_pair, r.coalescence_point, r.epsilon_bar_estimate,
+                         r.stop_reason, len(r.records))
+    assert outcome(res) == outcome(default)
 
 
 def test_default_mode_is_the_heuristic_pair_of_the_exhaustive_scan(ex_bidiag10):

@@ -156,6 +156,9 @@ def _invocations(matrices) -> list[tuple[str, list[str], object]]:
              for name in ("paper5", "paper10", "real-n10-s1", "scaled-n8-s1")]
     rows.append(("wilkinson-exhaustive-step1a-paper5",
                  ["wilkinson", "--matrix", m5, "--exhaustive", "--step1a"], None))
+    # Every scanned pair gets the caller's --max-iter, so none converges.
+    rows.append(("wilkinson-exhaustive-max-iter-1-paper5",
+                 ["wilkinson", "--matrix", m5, "--exhaustive", "--max-iter", "1"], None))
     return rows
 
 

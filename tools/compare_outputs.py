@@ -10,18 +10,21 @@ unpacked ``git archive`` of the parent commit).  The script runs
 checkout twice each, once with ``PARENT_SRC`` on ``PYTHONPATH`` and once with
 this checkout's ``src``, and prints each run's own output (the fingerprint
 tool's table of counts per run: voronoi-random at seeds 0-23 and 8675309,
-pair-scan, grid-bisect and the unscaled, real, diag and structured Wilkinson
-inputs, each with the LAPACK calls its solves made), a unified diff of each
+pair-scan, grid-bisect, the unscaled, real, diag and structured Wilkinson
+inputs, and the unscaled, real and structured ones in exhaustive mode, each
+with the LAPACK calls its solves made), a unified diff of each
 pair of JSON outputs, and the line count of each side's ``saddlepass/*.py``.
 The LAPACK calls of each fingerprint run are printed once more, one row per
-run, as ``parent -> change`` for ``eigvals``, ``svd`` and ``svd mats``.  For each fingerprint run it also prints a
-drift summary: the inputs whose pair, convergence, stop reason or record
-count changed (or that raise on one side only), how many of those moved only
-to the conjugate point, each such input by name, and the largest relative
-change in eps (a bisection's lower and upper bounds).  It exits 0 when both
-pairs of outputs are identical and 1 otherwise.  OpenBLAS is pinned to one thread in every run.  The four
-runs take about 6 minutes on a 2-core host, most of it the two fingerprint
-runs.
+run, as ``parent -> change`` for ``eigvals``, ``svd`` and ``svd mats``.  For
+each fingerprint run it also prints a drift summary: the inputs whose pair,
+convergence, stop reason or record count changed (or that raise on one side
+only), how many of those moved only to the conjugate point, each such input
+by name, the inputs whose full output (``output_sha256``: records, pair scan
+or history) changed while that outcome stayed the same, by name, and the
+largest relative change in eps (a bisection's lower and upper bounds).  It
+exits 0 when both pairs of outputs are identical and 1 otherwise.  OpenBLAS
+is pinned to one thread in every run.  The four runs take about 8 minutes on
+a 2-core host, most of it the two fingerprint runs.
 """
 
 from __future__ import annotations
@@ -80,10 +83,11 @@ def _mirrored(old: tuple, new: tuple) -> bool:
 
 def drift(parent: dict, change: dict) -> dict[str, dict]:
     """Per fingerprint run: the changed inputs (their names, and which of
-    them only mirrored) and the largest relative change in eps."""
+    them only mirrored), the inputs whose output digest alone changed, and
+    the largest relative change in eps."""
     out = {}
     for run in parent["runs"]:
-        changed, mirrored, eps_rel = [], [], 0.0
+        changed, mirrored, output_only, eps_rel = [], [], [], 0.0
         for key, entry in parent["inputs"].items():
             if not key.startswith(run + "/") or key not in change["inputs"]:
                 continue
@@ -98,16 +102,22 @@ def drift(parent: dict, change: dict) -> dict[str, dict]:
                 changed.append(key)
                 if _mirrored(old, new):
                     mirrored.append(key)
-        out[run] = {"changed": changed, "mirrored": mirrored, "max_eps_rel": eps_rel}
+            elif entry["output_sha256"] != change["inputs"][key]["output_sha256"]:
+                output_only.append(key)
+        out[run] = {"changed": changed, "mirrored": mirrored, "output_only": output_only,
+                    "max_eps_rel": eps_rel}
     return out
 
 
 def _print_drift(parent_text: str, change_text: str) -> None:
     for run, d in drift(json.loads(parent_text), json.loads(change_text)).items():
         print(f"drift {run}: {len(d['changed'])} changed, {len(d['mirrored'])} only to the "
-              f"conjugate point, max eps change {d['max_eps_rel']:.2g}")
+              f"conjugate point, {len(d['output_only'])} output only, "
+              f"max eps change {d['max_eps_rel']:.2g}")
         for key in d["changed"]:
             print(f"  {key}{' (conjugate)' if key in d['mirrored'] else ''}")
+        for key in d["output_only"]:
+            print(f"  {key} (output only)")
 
 
 def lapack_rows(parent: dict, change: dict) -> list[str]:

@@ -15,9 +15,12 @@ first on the path:
   n = 12, 20 and 28, s = 0..15;
 - ``diag``: the normal matrix ``diag(0, 2, 5j)``, whose distance is 1 at z = 1;
 - ``structured``: the paper's two bidiagonal matrices and eight
-  pseudospectra-gallery matrices (see ``_structured``).
+  pseudospectra-gallery matrices (see ``_structured``);
+- ``exhaustive``: the ``unscaled``, ``real`` and ``structured`` inputs again,
+  named ``unscaled/n10-s0`` and so on, in exhaustive mode.
 
-The last four run ``wilkinson_distance`` at default options, checked by
+The last five run ``wilkinson_distance``, at default options except for
+``WilkinsonOptions(exhaustive=True)`` in ``exhaustive``, checked by
 ``bench/checks.check_wilkinson``.  Per input the JSON records the bench
 fingerprint, a sha256 of the full output (the local-iteration records and
 ``pair_scan`` of a Wilkinson result, the history of a bisection), whether it
@@ -35,7 +38,7 @@ same JSON however much LAPACK work each does; they go per run to
 ``OUT.lapack.json`` beside it instead.  The JSON is sorted and
 indented, so ``diff parent.json change.json`` lists every changed input, and
 a change that fails more often on any run shows in that run's ``failed``.
-One run takes about 3 minutes on a 2-core host.
+One run takes about 4 minutes on a 2-core host.
 """
 
 from __future__ import annotations
@@ -81,9 +84,9 @@ def _memo_last(bound):
 checks.malyshev_bound = _memo_last(checks.malyshev_bound)
 
 
-def _wilkinson_cases(inputs) -> list[workloads.Case]:
-    """Default ``wilkinson_distance`` runs on (name, matrix) pairs."""
-    return [workloads.Case(name, lambda a=a: sp.wilkinson_distance(a),
+def _wilkinson_cases(inputs, opts=None) -> list[workloads.Case]:
+    """``wilkinson_distance`` runs with ``opts`` on (name, matrix) pairs."""
+    return [workloads.Case(name, lambda a=a: sp.wilkinson_distance(a, opts),
                            lambda r, a=a: checks.check_wilkinson(a, r),
                            workloads._wilkinson_fingerprint)  # the bench's own
             for name, a in inputs]
@@ -141,6 +144,11 @@ RUNS = {
     "real": lambda tmp: _wilkinson_cases(_real()),
     "diag": lambda tmp: _wilkinson_cases([("diag(0,2,5j)", np.diag([0.0, 2.0, 5.0j]))]),
     "structured": lambda tmp: _wilkinson_cases(_structured()),
+    "exhaustive": lambda tmp: _wilkinson_cases(
+        ((f"{family}/{name}", a) for family, inputs in
+         (("unscaled", _unscaled()), ("real", _real()), ("structured", _structured()))
+         for name, a in inputs),
+        sp.WilkinsonOptions(exhaustive=True)),
 }
 
 
