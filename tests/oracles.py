@@ -296,3 +296,73 @@ def voronoi_edges_reference(spectrum, bbox):
             edges.append(VoronoiEdge(start=complex(z0), end=complex(z1),
                                      pair=(complex(zi), complex(zj))))
     return edges
+
+
+def sweeps_then_polish(field, region, x, y, level, point_tol=1e-10, max_sweeps=50):
+    """Closest pair by alternating sweeps run to a standstill or to
+    ``max_sweeps``, with one Newton polish at the end.
+
+    The one reference here built on the solver's own parts: a frozen copy of
+    the closest-pair loop that ran every sweep before its polish, kept to
+    measure the sweep-by-sweep Newton handoff of ``refine_closest_pair``
+    against.  Returns the best pair seen.
+    """
+    from saddlepass.errors import BoundaryHitError
+    from saddlepass.local_solver import (
+        _pair_kkt_polish,
+        _segment_crossing_pair,
+        minimize_on_hyperplane,
+    )
+
+    x = np.asarray(x, dtype=float).copy()
+    y = np.asarray(y, dtype=float).copy()
+    tolzero = field.level_slack(level)
+
+    def feasible(p, q):
+        return field.value(p) <= level + tolzero and field.value(q) <= level + tolzero
+
+    best = (x.copy(), y.copy()) if feasible(x, y) else None
+    best_dist = float(np.linalg.norm(x - y)) if best is not None else np.inf
+
+    def note(p, q):
+        nonlocal best, best_dist
+        d = float(np.linalg.norm(p - q))
+        if d < best_dist:
+            best, best_dist = (p.copy(), q.copy()), d
+
+    def hyperplane_min(p, d):
+        try:
+            return minimize_on_hyperplane(field, region, p, d, locality="local")[0]
+        except BoundaryHitError as hit:
+            return hit.point
+
+    for _ in range(max_sweeps):
+        d = x - y
+        dist = float(np.linalg.norm(d))
+        if dist == 0.0:
+            break
+        cp = _segment_crossing_pair(field, hyperplane_min(x, d), hyperplane_min(y, d),
+                                    level, tolzero)
+        if cp is None:
+            break
+        x_new, y_new = cp
+        if float(np.linalg.norm(x_new - y_new)) >= dist - 1e-15 and feasible(x, y):
+            damped = _segment_crossing_pair(field, 0.5 * (x + x_new), 0.5 * (y + y_new),
+                                            level, tolzero)
+            if damped is not None:
+                x_new, y_new = damped
+        note(x_new, y_new)
+        movement = max(float(np.linalg.norm(x_new - x)), float(np.linalg.norm(y_new - y)))
+        x, y = x_new, y_new
+        if movement < point_tol:
+            break
+    if field.differentiable:
+        polished = _pair_kkt_polish(field, region, x, y, level)
+        if polished is not None:
+            px, py = polished[:2]
+            if float(np.linalg.norm(px - py)) <= best_dist + 1e-12:
+                x, y = px, py
+                note(x, y)
+    if best is not None and best_dist < float(np.linalg.norm(x - y)) - 1e-12:
+        return best
+    return x, y

@@ -4,11 +4,13 @@ from scipy.optimize import minimize as sp_minimize
 
 from saddlepass import (
     Ball,
+    BisectionOptions,
     LocalOptions,
     ScalarField,
     SigmaMinField,
     advance_along_segment,
     assemble_local_path,
+    bisect,
     bisector_minimize,
     check_pair_optimality,
     equalize_endpoints,
@@ -18,14 +20,15 @@ from saddlepass import (
     run_local,
     segment_max,
 )
-from saddlepass import local_solver
+from saddlepass import bisection, local_solver
 from saddlepass.diagnostics import hessian_of
 from saddlepass.errors import PreconditionError
 from saddlepass.fields import _Line
 from saddlepass.local_solver import _pair_kkt_polish, minimize_on_hyperplane
 
-from conftest import perturbed_quadratic
-from oracles import golden_minimize, scan_first_crossing, sublevel_runs
+from conftest import bidiagonal_5x5, perturbed_quadratic
+from oracles import golden_minimize, scan_first_crossing, sublevel_runs, sweeps_then_polish
+from workloads import sigma_min_problem
 
 QS = get_problem("quadratic-saddle")
 
@@ -224,25 +227,35 @@ def test_refine_never_lengthens_the_pair():
 
 
 def test_refine_returns_the_best_pair_it_saw(monkeypatch):
-    # One closest-pair call of `bisect(get_problem("ps-fail-b"))`: the first
-    # sweep gives the shortest pair, later sweeps and the polish wander off,
-    # so the pair returned is the best one seen, not the last.
+    # One closest-pair call of `bisect(get_problem("ps-fail-b"))`, with every
+    # polish reported unconverged as on a field whose polish keeps failing:
+    # the sweeps run on and only the last sweep's polish can be taken.  The
+    # first sweep gives the shortest pair, later sweeps and that polish
+    # wander off, so the pair returned is the best one seen, not the last.
     prob = get_problem("ps-fail-b")
     x0 = np.array([2.8503509037762704, -0.3066180977565329])
     y0 = np.array([2.8503509037762704, 0.30342010305167255])
     seen = [float(np.linalg.norm(x0 - y0))]
+    polished = []
+    crossing_pair, polish = local_solver._segment_crossing_pair, local_solver._pair_kkt_polish
 
-    def record(fn):
-        def wrapped(*args, **kwargs):
-            pair = fn(*args, **kwargs)
-            if pair is not None:
-                seen.append(float(np.linalg.norm(pair[0] - pair[1])))
-            return pair
-        return wrapped
+    def crossing(*args):
+        pair = crossing_pair(*args)
+        if pair is not None:
+            seen.append(float(np.linalg.norm(pair[0] - pair[1])))
+        return pair
 
-    for name in ("_segment_crossing_pair", "_pair_kkt_polish"):
-        monkeypatch.setattr(local_solver, name, record(getattr(local_solver, name)))
+    def unconverged(*args):
+        got = polish(*args)
+        if got is None:
+            return None
+        polished.append(float(np.linalg.norm(got[0] - got[1])))
+        return got[0], got[1], False
+
+    monkeypatch.setattr(local_solver, "_segment_crossing_pair", crossing)
+    monkeypatch.setattr(local_solver, "_pair_kkt_polish", unconverged)
     x, y = refine_closest_pair(prob.field, prob.region, x0, y0, -0.001953125)
+    seen += polished[-1:]
     dist = float(np.linalg.norm(x - y))
     assert dist <= seen[0]
     assert dist == min(seen)
@@ -264,6 +277,78 @@ def test_pair_kkt_polish_evaluates_each_gradient_once_per_step(monkeypatch):
         counts.append(field.grad_count - before)
     assert counts[0] == 2
     assert counts[1] - counts[0] == 4 * n + 2
+
+
+def test_pair_kkt_polish_reads_its_level_check_from_the_residual(monkeypatch):
+    # The residual holds f(x) - level and f(y) - level, so the final level
+    # check costs no field values: two per residual, at the start pair and at
+    # each Newton step's new pair.  The start pair is on the level and nearly
+    # aligned, so the polish passes the check after 0, 1 and 2 steps.
+    field = get_problem("quadratic-saddle").field
+    a = 1e-5
+    b = np.sqrt(0.04 + a * a)
+    counts = []
+    for steps in (0, 1, 2):
+        monkeypatch.setattr(local_solver, "_KKT_POLISH_STEPS", steps)
+        before = field.eval_count
+        got = _pair_kkt_polish(field, QS.region, np.array([a, -b]), np.array([-a, b]), -0.04)
+        counts.append(field.eval_count - before)
+        assert got is not None
+    assert counts == [2, 4, 6]
+
+
+@pytest.fixture(scope="module", params=["ps-fail-b", "sigma-min-5x5"])
+def bisect_refine_calls(request):
+    """Each ``refine_closest_pair`` call of one bisection, as the grid-bisect
+    bench runs it: its arguments, the pair it returned and its number of
+    segment crossing-pair calls."""
+    if request.param == "ps-fail-b":
+        prob, opts = get_problem("ps-fail-b"), BisectionOptions()
+    else:
+        prob = sigma_min_problem(bidiagonal_5x5())
+        opts = BisectionOptions(resolution=prob.region.diameter() / 128)
+    calls = []
+    refine, crossing_pair = bisection.refine_closest_pair, local_solver._segment_crossing_pair
+
+    def counted_crossing(*args):
+        calls[-1]["crossings"] += 1
+        return crossing_pair(*args)
+
+    def recorded(field, region, x, y, level, **kwargs):
+        calls.append({"args": (field, region, np.array(x), np.array(y), level),
+                      "kwargs": kwargs, "crossings": 0})
+        calls[-1]["pair"] = refine(field, region, x, y, level, **kwargs)
+        return calls[-1]["pair"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bisection, "refine_closest_pair", recorded)
+        mp.setattr(local_solver, "_segment_crossing_pair", counted_crossing)
+        bisect(prob, opts=opts)
+    return calls
+
+
+def test_refine_hands_the_pair_to_newton_after_one_or_two_crossings(bisect_refine_calls):
+    # Sweeping until the pair stops moving took up to 50 sweeps on these
+    # bisections; the polish after the first sweep converges instead.
+    assert len(bisect_refine_calls) >= 5
+    assert max(c["crossings"] for c in bisect_refine_calls) <= 2
+
+
+def test_refine_pairs_match_sweeping_to_the_end(bisect_refine_calls):
+    # No pair is longer than the one from sweeping to a standstill and then
+    # polishing, beyond 1e-9 relative, and each meets criterion 8's
+    # first-order residual (a crossing pair kept when the polish after the
+    # last sweep wandered off, as on ps-fail-b, misses it by 100 times).
+    for call in bisect_refine_calls:
+        field, _, _, _, level = call["args"]
+        x, y = call["pair"]
+        rx, ry = sweeps_then_polish(*call["args"], **call["kwargs"])
+        ref = float(np.linalg.norm(rx - ry))
+        assert float(np.linalg.norm(x - y)) <= ref * (1.0 + 1e-9)
+        rep = check_pair_optimality(field, x, y, level)
+        gscale = 1.0 + max(np.linalg.norm(field.grad(x)), np.linalg.norm(field.grad(y)))
+        assert max(rep.residual_x, rep.residual_y) <= 1e-5 * gscale
+        assert rep.kappa1 >= 0.0 and rep.kappa2 >= 0.0
 
 
 def test_hyperplane_newton_polish_evaluates_the_field_once_per_step(monkeypatch):

@@ -1,6 +1,7 @@
 """The output gate: the recorder ``tools/result_fingerprints.py`` (the inputs
-of each run, one recorded Wilkinson result and the LAPACK counts), and the
-drift summary and LAPACK rows of ``tools/compare_outputs.py``."""
+of each run, one recorded Wilkinson result, the LAPACK counts and the field
+work), and the drift summary, LAPACK and field rows and changed CLI rows of
+``tools/compare_outputs.py``."""
 
 import dataclasses
 import importlib.util
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import saddlepass as sp
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "result_fingerprints.py"
 
@@ -81,6 +84,38 @@ def test_lapack_counts_cover_only_the_solve(tool, tmp_path):
     assert "counted" not in np.linalg.svd.__name__  # restored after the solve
 
 
+def test_field_work_counts_cover_only_the_solve(tool, tmp_path):
+    # A call of the field itself counts as a value call; the check's field
+    # work is not counted, and the class is restored after the solve.
+    (case,) = tool.RUNS["diag"](tmp_path)
+    field = sp.ScalarField(2, lambda x: float(x @ x), lambda x: 2.0 * x,
+                           batch_evaluate=lambda p: np.sum(p * p, axis=1))
+    methods = (sp.ScalarField.value, sp.ScalarField.value_many, sp.ScalarField.grad,
+               sp.ScalarField.__call__)
+
+    def work():
+        x = np.ones(2)
+        field.value(x)
+        field(x)
+        field.value_many(np.ones((5, 2)))
+        field.grad(x)
+
+    def solve():
+        work()
+        return case.solve()
+
+    def check(out):
+        work()
+        return case.check(out)
+
+    plain, extra = Counter(), Counter()
+    entry = tool.record(case, plain)
+    assert tool.record(dataclasses.replace(case, solve=solve, check=check), extra) == entry
+    assert extra - plain == Counter({"value": 2, "value_many points": 5, "grad": 1})
+    assert (sp.ScalarField.value, sp.ScalarField.value_many, sp.ScalarField.grad,
+            sp.ScalarField.__call__) == methods
+
+
 @pytest.fixture(scope="module")
 def compare():
     spec = importlib.util.spec_from_file_location("compare_outputs", TOOL.parent / "compare_outputs.py")
@@ -95,8 +130,10 @@ def test_lapack_counts_go_beside_the_json_and_not_into_it(tool, tmp_path, monkey
     assert tool.main([str(out)]) == 0
     assert set(json.loads(out.read_text())) == {"runs", "inputs"}
     counts = json.loads((tmp_path / "out.lapack.json").read_text())
-    assert list(counts) == ["diag"] and list(counts["diag"]) == ["eigvals", "svd", "svd mats"]
-    assert all(v > 0 for v in counts["diag"].values())
+    assert list(counts) == ["diag"]
+    assert list(counts["diag"]) == ["eigvals", "svd", "svd mats",
+                                    "value", "value_many points", "grad"]
+    assert all(counts["diag"][k] > 0 for k in ("eigvals", "svd", "svd mats", "value"))
 
 
 def test_lapack_rows_show_each_run_as_parent_to_change(compare):
@@ -110,6 +147,36 @@ def test_lapack_rows_show_each_run_as_parent_to_change(compare):
         ["a", "790", "->", "701", "6688", "->", "6695", "23959", "->", "23966"],
         ["b", "7", "->", "7", "34", "->", "33", "55", "->", "54"],
     ]
+
+
+def test_field_rows_show_each_run_as_parent_to_change(compare):
+    parent = {"g": {"eigvals": 0, "svd": 10323, "svd mats": 83214,
+                    "value": 5532, "value_many points": 90000, "grad": 2901}}
+    change = {"g": {"eigvals": 0, "svd": 928, "svd mats": 19419,
+                    "value": 391, "value_many points": 30000, "grad": 653}}
+    header, row = compare.field_rows(parent, change)
+    assert header.split() == ["fields", "value", "value_many", "points", "grad"]
+    assert row.split() == ["g", "5532", "->", "391", "90000", "->", "30000", "2901", "->", "653"]
+
+
+def test_manifest_rows_name_each_changed_row_with_its_exit_codes_and_moved_fields(compare):
+    def row(exit=0, stdout="s", files=None, stderr=""):
+        return {"exit": exit, "traceback": False, "stdout_sha256": stdout,
+                "files": files or {}, "stderr_last": stderr, "warnings": [], "argv": ["x"]}
+
+    parent = {"same": row(), "out": row(stdout="a"), "exit": row(exit=2, stderr="e"),
+              "file": row(files={"f.csv": "1"}), "gone": row()}
+    change = {"same": row(), "out": row(stdout="b"), "exit": row(exit=0, stdout="c"),
+              "file": row(files={"f.csv": "2"}), "new": row()}
+    assert compare.manifest_rows(parent, change) == [
+        "cli rows changed: 5",
+        "  exit: exit 2 -> 0, moved stdout, stderr",
+        "  file: exit 0 -> 0, moved files",
+        "  gone: only in parent",
+        "  new: only in change",
+        "  out: exit 0 -> 0, moved stdout",
+    ]
+    assert compare.manifest_rows(parent, parent) == ["cli rows changed: 0"]
 
 
 def test_drift_counts_changed_and_conjugate_inputs_and_the_largest_eps_change(tool, compare):

@@ -12,10 +12,14 @@ this checkout's ``src``, and prints each run's own output (the fingerprint
 tool's table of counts per run: voronoi-random at seeds 0-23 and 8675309,
 pair-scan, grid-bisect, the unscaled, real, diag and structured Wilkinson
 inputs, and the unscaled, real and structured ones in exhaustive mode, each
-with the LAPACK calls its solves made), a unified diff of each
+with the LAPACK calls and field work its solves made), a unified diff of each
 pair of JSON outputs, and the line count of each side's ``saddlepass/*.py``.
 The LAPACK calls of each fingerprint run are printed once more, one row per
-run, as ``parent -> change`` for ``eigvals``, ``svd`` and ``svd mats``.  For
+run, as ``parent -> change`` for ``eigvals``, ``svd`` and ``svd mats``, and
+so is its field work (``value`` calls, ``value_many`` points and ``grad``
+calls).  After the CLI manifest's diff it prints how many rows changed and,
+per changed row, its name, its exit code as ``parent -> change`` and the
+fields that moved (stdout, files, stderr, warnings, traceback, argv).  For
 each fingerprint run it also prints a drift summary: the inputs whose pair,
 convergence, stop reason or record count changed (or that raise on one side
 only), how many of those moved only to the conjugate point, each such input
@@ -120,13 +124,43 @@ def _print_drift(parent_text: str, change_text: str) -> None:
             print(f"  {key} (output only)")
 
 
-def lapack_rows(parent: dict, change: dict) -> list[str]:
-    """One line per fingerprint run: its LAPACK counts as parent -> change."""
-    keys = ("eigvals", "svd", "svd mats")
-    rows = [f"{'lapack':<27}" + "".join(f"{k:>22}" for k in keys)]
+def _count_rows(title: str, keys: tuple, parent: dict, change: dict) -> list[str]:
+    rows = [f"{title:<27}" + "".join(f"{k:>22}" for k in keys)]
     for run, old in parent.items():
         cells = (f"{old[k]} -> {change[run][k]}" for k in keys)
         rows.append(f"{run:<27}" + "".join(f"{c:>22}" for c in cells))
+    return rows
+
+
+def lapack_rows(parent: dict, change: dict) -> list[str]:
+    """One line per fingerprint run: its LAPACK counts as parent -> change."""
+    return _count_rows("lapack", ("eigvals", "svd", "svd mats"), parent, change)
+
+
+def field_rows(parent: dict, change: dict) -> list[str]:
+    """One line per fingerprint run: its field work as parent -> change."""
+    return _count_rows("fields", ("value", "value_many points", "grad"), parent, change)
+
+
+#: Manifest fields of a CLI row, by the name a changed row shows them under.
+_ROW_FIELDS = {"stdout": "stdout_sha256", "files": "files", "stderr": "stderr_last",
+               "warnings": "warnings", "traceback": "traceback", "argv": "argv"}
+
+
+def manifest_rows(parent: dict, change: dict) -> list[str]:
+    """How many CLI manifest rows changed, then one line per changed row: its
+    name, its exit code as parent -> change and the fields that moved."""
+    changed = [name for name in sorted(parent.keys() | change.keys())
+               if parent.get(name) != change.get(name)]
+    rows = [f"cli rows changed: {len(changed)}"]
+    for name in changed:
+        old, new = parent.get(name), change.get(name)
+        if old is None or new is None:
+            rows.append(f"  {name}: only in {'parent' if new is None else 'change'}")
+            continue
+        moved = [label for label, key in _ROW_FIELDS.items() if old[key] != new[key]]
+        rows.append(f"  {name}: exit {old['exit']} -> {new['exit']}, moved "
+                    f"{', '.join(moved) or 'nothing else'}")
     return rows
 
 
@@ -156,10 +190,12 @@ def main(argv=None) -> int:
             sys.stdout.writelines(diff)
             if tool == "result_fingerprints.py":
                 _print_drift(texts["parent"], texts["change"])
-                counts = (json.loads((Path(tmp) / f"{label}-{tool}.json")
+                counts = [json.loads((Path(tmp) / f"{label}-{tool}.json")
                                      .with_suffix(".lapack.json").read_text())
-                          for label in sources)
-                print("\n".join(lapack_rows(*counts)))
+                          for label in sources]
+                print("\n".join(lapack_rows(*counts) + field_rows(*counts)))
+            else:
+                print("\n".join(manifest_rows(*(json.loads(t) for t in texts.values()))))
             differs = differs or bool(diff)
     return 1 if differs else 0
 

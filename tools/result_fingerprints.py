@@ -30,12 +30,15 @@ else the exception the solve raised.  A converged Wilkinson result with
 eps > 0 also gets its relative Malyshev gap
 ``(malyshev_bound(A, z*) - eps) / eps``.  Per run the JSON counts
 inputs, converged, unconverged, raised, wrong and failed inputs and gives the
-largest gap (at least 0); stdout prints the same rows with wall times and
-with the numpy ``eigvals`` and ``svd`` calls and stacked SVD matrices that
-the run's solves made (the checks' own calls are not counted).  The counts
-stay out of the JSON, so two sources that give the same results give the
-same JSON however much LAPACK work each does; they go per run to
-``OUT.lapack.json`` beside it instead.  The JSON is sorted and
+largest gap (at least 0); stdout prints the same rows with wall times, with
+the numpy ``eigvals`` and ``svd`` calls and stacked SVD matrices that the
+run's solves made, and with their field work: ``ScalarField.value`` calls,
+the points of ``value_many`` calls and ``grad`` calls (the checks' own calls
+are not counted).  The field counts see work that makes no LAPACK call, such
+as a catalog field's closest-pair refinement.  The counts stay out of the
+JSON, so two sources that give the same results give the same JSON however
+much work each does; they go per run to ``OUT.lapack.json`` beside it
+instead.  The JSON is sorted and
 indented, so ``diff parent.json change.json`` lists every changed input, and
 a change that fails more often on any run shows in that run's ``failed``.
 One run takes about 4 minutes on a 2-core host.
@@ -180,10 +183,14 @@ def _output(out):
 
 
 @contextlib.contextmanager
-def _counting_lapack(counts: Counter):
+def _counting_work(counts: Counter):
     """Count numpy ``eigvals`` and ``svd`` calls, and the matrices an ``svd``
-    call stacks, into ``counts`` while the block runs."""
+    call stacks, into ``counts`` while the block runs; and the field work:
+    ``ScalarField.value`` calls (a call of the field itself included), the
+    points of its ``value_many`` calls, and its ``grad`` calls."""
     eigvals, svd = np.linalg.eigvals, np.linalg.svd
+    field = sp.ScalarField
+    value, value_many, grad = field.value, field.value_many, field.grad
 
     def counted_eigvals(a):
         counts["eigvals"] += 1
@@ -194,18 +201,35 @@ def _counting_lapack(counts: Counter):
         counts["svd mats"] += math.prod(np.shape(a)[:-2])
         return svd(a, *args, **kwargs)
 
+    def counted_value(self, x):
+        counts["value"] += 1
+        return value(self, x)
+
+    def counted_value_many(self, pts):
+        out = value_many(self, pts)
+        counts["value_many points"] += out.shape[0]
+        return out
+
+    def counted_grad(self, x):
+        counts["grad"] += 1
+        return grad(self, x)
+
     np.linalg.eigvals, np.linalg.svd = counted_eigvals, counted_svd
+    field.value = field.__call__ = counted_value
+    field.value_many, field.grad = counted_value_many, counted_grad
     try:
         yield
     finally:
         np.linalg.eigvals, np.linalg.svd = eigvals, svd
+        field.value = field.__call__ = value
+        field.value_many, field.grad = value_many, grad
 
 
-def record(case, lapack: Optional[Counter] = None) -> dict:
-    """The JSON entry of one case; the LAPACK calls of its solve, and of
-    nothing else, are added to ``lapack`` when one is given."""
+def record(case, work: Optional[Counter] = None) -> dict:
+    """The JSON entry of one case; the LAPACK calls and field work of its
+    solve, and of nothing else, are added to ``work`` when one is given."""
     try:
-        with _counting_lapack(Counter() if lapack is None else lapack):
+        with _counting_work(Counter() if work is None else work):
             out = case.solve()
     except Exception as err:  # a raising solve is an outcome to record
         return {"raised": f"{type(err).__name__}: {err}"}
@@ -243,25 +267,27 @@ def summarize(entries: list[dict]) -> dict:
 
 
 _COUNTS = ("inputs", "converged", "unconverged", "raised", "wrong", "failed")
-_LAPACK_COUNTS = ("eigvals", "svd", "svd mats")
+#: LAPACK calls, then field work; the rows of ``OUT.lapack.json``.
+_WORK_COUNTS = ("eigvals", "svd", "svd mats", "value", "value_many points", "grad")
 
 
 def build_fingerprints() -> tuple[dict, dict]:
-    """The JSON of every run's inputs, and each run's LAPACK counts."""
-    print(f"{'run':<27}" + "".join(f"{k:>{len(k) + 2}}" for k in _COUNTS)
-          + f"{'max gap':>10}{'time s':>8}" + "".join(f"{k:>10}" for k in _LAPACK_COUNTS))
+    """The JSON of every run's inputs, and each run's LAPACK and field counts."""
+    print(f"{'run':<27}" + "".join(f"{k:>{len(k) + 2}}" for k in _COUNTS) + f"{'max gap':>10}"
+          + f"{'time s':>8}" + "".join(f"{k:>{max(10, len(k) + 2)}}" for k in _WORK_COUNTS))
     runs, inputs, counts = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for key, build in RUNS.items():
             start = time.perf_counter()
-            lapack = Counter()
-            entries = {f"{key}/{case.name}": record(case, lapack) for case in build(Path(tmp))}
+            work = Counter()
+            entries = {f"{key}/{case.name}": record(case, work) for case in build(Path(tmp))}
             inputs.update(entries)
             runs[key] = summary = summarize(list(entries.values()))
             print(f"{key:<27}" + "".join(f"{summary[k]:>{len(k) + 2}}" for k in _COUNTS)
                   + f"{summary['max_gap']:>10.2g}{time.perf_counter() - start:>8.1f}"
-                  + "".join(f"{lapack[k]:>10}" for k in _LAPACK_COUNTS), flush=True)
-            counts[key] = {k: lapack[k] for k in _LAPACK_COUNTS}
+                  + "".join(f"{work[k]:>{max(10, len(k) + 2)}}" for k in _WORK_COUNTS),
+                  flush=True)
+            counts[key] = {k: work[k] for k in _WORK_COUNTS}
     return {"runs": runs, "inputs": inputs}, counts
 
 
